@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + ctest, the same suite under
-# ASan+UBSan, and --require/--min-ratio gates over every committed
+# ASan+UBSan, --require/--min-ratio gates over every committed
 # BENCH_*.json at the repo root (so a stale or regressed committed
-# export fails even if nobody re-ran the bench that wrote it).
+# export fails even if nobody re-ran the bench that wrote it), and a
+# one-second perfbench run per workload (its invariant sweep and
+# determinism check must pass on the current program).
 #
 # Usage: scripts/verify.sh [--skip-sanitize]
 #
 # Build trees: build/ (plain, also used for bench_schema_check) and
 # build-asan/ (ZIZIPHUS_SANITIZE=address,undefined). Both are plain
-# cmake trees — safe to delete, never committed.
+# cmake trees — safe to delete, never committed. perfbench builds into
+# $CARGO_TARGET_DIR/perfbench (default .bench_build/).
 
 set -euo pipefail
 
@@ -88,5 +91,20 @@ banner "BENCH_consensus.json"
   --require=consensus/fast-path/failures:1:fast_fallbacks \
   "--min-ratio=consensus/stable/failures:0|consensus/fast-path/failures:0|lat_p50_ms|1.0" \
   "--min-ratio=consensus/stable/failures:1|consensus/fast-path/failures:1|lat_p50_ms|0.25"
+
+# ---- 4. repository benchmark smoke -------------------------------------
+# Pass only when the last stdout line says "correct": true. A failed
+# invariant sweep or cross-rep determinism check prints "correct": false;
+# a build failure prints nothing (run.py's own exit status is not used, so
+# the result line is always shown).
+for workload in paper-mix global-heavy read-heavy; do
+  banner "perfbench $workload (1 s)"
+  result="$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+              --trace 0 | tail -n 1)" || true
+  echo "$result"
+  python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+    "$result" || { echo "perfbench $workload: not correct" >&2; exit 1; }
+done
 
 banner "verify.sh: all green"

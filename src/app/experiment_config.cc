@@ -183,8 +183,11 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
 ExperimentConfig ExperimentConfig::FromFlags(int argc, char** argv) {
   ExperimentConfig cfg;
   for (int i = 1; i < argc; ++i) {
-    // Unknown flags (--benchmark_*, binary-specific extras) pass through.
-    cfg.ApplyFlag(argv[i]);
+    // A misspelled flag must not silently run the default configuration.
+    if (!cfg.ApplyFlag(argv[i])) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      std::exit(2);
+    }
   }
   return cfg;
 }

@@ -155,8 +155,8 @@ struct ExperimentConfig {
   /// --byzantine= --think-ms= --fault-window-ms= --crash-amnesia=N
   /// (amnesia crash/recover pairs in the chaos timeline)
   /// --ordering=stable|rotating|fast-path --byz-forge-reads[=0|1]
-  /// --latency-flaps=N. Unknown flags
-  /// are ignored so binary-specific extras can ride along.
+  /// --latency-flaps=N. An unknown flag exits with status 2 and names it;
+  /// binaries with extra flags of their own use ConsumeFlags.
   static ExperimentConfig FromFlags(int argc, char** argv);
 
   /// In-place variant for binaries whose flag framework rejects unknown

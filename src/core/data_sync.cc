@@ -1238,9 +1238,7 @@ void DataSyncEngine::RestoreFromDurable() {
   chain_executed_ = durable_->chain_executed;
   executed_ballots_ = durable_->executed_ballots;
   executed_digests_ = durable_->executed_digests;
-  executed_op_ids_.clear();
-  executed_op_ids_.insert(durable_->executed_op_ids.begin(),
-                          durable_->executed_op_ids.end());
+  executed_op_ids_ = durable_->executed_op_ids;
   executed_count_ = durable_->executed_op_ids.size();
   // Per-request promise bounds. Pre-create the request entry with only the
   // bound set: HandlePropose tolerates such stubs (it fills `ops` when

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_set>
 
 #include "common/types.h"
 #include "core/messages.h"
@@ -29,11 +30,12 @@ struct SyncDurableState {
   Ballot my_last_cross_ballot = kNullBallot;
   /// Execution bookkeeping: which ballots ran and what they executed, so a
   /// recovered node neither re-executes a migration nor breaks the
-  /// per-chain execution order.
+  /// per-chain execution order. `executed_op_ids` is only probed and
+  /// sized, so it is hashed like its live twin.
   std::map<ZoneId, Ballot> chain_executed;
   std::set<Ballot> executed_ballots;
   std::map<Ballot, std::uint64_t> executed_digests;
-  std::set<std::uint64_t> executed_op_ids;
+  std::unordered_set<std::uint64_t> executed_op_ids;
 };
 
 /// Durable migration progress markers (Algorithm 2). One marker per

@@ -2,9 +2,9 @@
 #define ZIZIPHUS_CORE_ENDORSEMENT_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/costs.h"
@@ -21,10 +21,12 @@ struct EndorseKey {
   EndorsePhase phase = EndorsePhase::kPropose;
 
   friend bool operator==(const EndorseKey&, const EndorseKey&) = default;
-  friend auto operator<=>(const EndorseKey& a, const EndorseKey& b) {
-    if (auto c = a.request_id <=> b.request_id; c != 0) return c;
-    return static_cast<int>(a.phase) <=> static_cast<int>(b.phase);
-  }
+
+  struct Hash {
+    std::size_t operator()(const EndorseKey& k) const {
+      return HashCombine(k.request_id, static_cast<std::uint64_t>(k.phase));
+    }
+  };
 };
 
 /// Runs intra-zone endorsement consensus: the zone primary pre-prepares a
@@ -83,6 +85,12 @@ class ZoneEndorser {
   /// The completed certificate for a key (nullptr until IsDone).
   const crypto::Certificate* CertFor(const EndorseKey& key) const;
 
+  /// Endorsement instances held, finished ones included. Nothing trims
+  /// finished instances (the data-sync engine re-reads CertFor on retries),
+  /// so this grows with every endorsed global request, each instance
+  /// keeping its pre-prepare (payload, ops, migration records) alive.
+  std::size_t retained_states() const { return states_.size(); }
+
  private:
   struct State {
     std::shared_ptr<const EndorsePrePrepareMsg> pre_prepare;
@@ -113,7 +121,8 @@ class ZoneEndorser {
   NodeCosts costs_;
   Callbacks callbacks_;
   ViewId view_ = 0;
-  std::map<EndorseKey, State> states_;
+  // Probed per message; iterated only by OnViewChange's order-free erase.
+  std::unordered_map<EndorseKey, State, EndorseKey::Hash> states_;
 };
 
 }  // namespace ziziphus::core

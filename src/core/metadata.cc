@@ -3,25 +3,22 @@
 namespace ziziphus::core {
 
 void GlobalMetadata::RegisterClient(ClientId client, ZoneId home) {
-  auto it = home_.find(client);
-  if (it != home_.end()) {
-    clients_per_zone_[it->second]--;
-  }
+  if (const ZoneId* prev = home_.find(client)) clients_per_zone_[*prev]--;
   home_[client] = home;
   clients_per_zone_[home]++;
 }
 
 Status GlobalMetadata::ValidateMigration(const MigrationOp& op) const {
-  if (op.client == kInvalidClient || op.source == kInvalidZone ||
-      op.destination == kInvalidZone) {
+  if (op.client == kInvalidClient || !ClientTableHolds(op.client) ||
+      op.source == kInvalidZone || op.destination == kInvalidZone) {
     return Status::InvalidArgument("malformed migration op");
   }
   if (op.source == op.destination) {
     return Status::InvalidArgument("source equals destination");
   }
-  auto mit = migrations_.find(op.client);
-  if (mit != migrations_.end() &&
-      mit->second >= policy_.max_migrations_per_client) {
+  const std::uint32_t* migrations = migrations_.find(op.client);
+  if (migrations != nullptr &&
+      *migrations >= policy_.max_migrations_per_client) {
     return Status::PermissionDenied("migration quota exhausted");
   }
   auto cit = clients_per_zone_.find(op.destination);
@@ -38,8 +35,8 @@ std::string GlobalMetadata::Execute(const MigrationOp& op) {
   }
   Status s = ValidateMigration(op);
   if (!s.ok()) return "rejected:" + s.ToString();
-  auto it = home_.find(op.client);
-  ZoneId prev = it != home_.end() ? it->second : op.source;
+  const ZoneId* home = home_.find(op.client);
+  ZoneId prev = home != nullptr ? *home : op.source;
   if (clients_per_zone_[prev] > 0) clients_per_zone_[prev]--;
   clients_per_zone_[op.destination]++;
   home_[op.client] = op.destination;
@@ -48,8 +45,8 @@ std::string GlobalMetadata::Execute(const MigrationOp& op) {
 }
 
 ZoneId GlobalMetadata::HomeOf(ClientId client) const {
-  auto it = home_.find(client);
-  return it == home_.end() ? kInvalidZone : it->second;
+  const ZoneId* home = home_.find(client);
+  return home == nullptr ? kInvalidZone : *home;
 }
 
 std::uint64_t GlobalMetadata::ClientsInZone(ZoneId zone) const {
@@ -58,8 +55,8 @@ std::uint64_t GlobalMetadata::ClientsInZone(ZoneId zone) const {
 }
 
 std::uint32_t GlobalMetadata::MigrationsOf(ClientId client) const {
-  auto it = migrations_.find(client);
-  return it == migrations_.end() ? 0 : it->second;
+  const std::uint32_t* migrations = migrations_.find(client);
+  return migrations == nullptr ? 0 : *migrations;
 }
 
 std::uint64_t GlobalMetadata::StateDigest() const {

@@ -2,10 +2,12 @@
 #define ZIZIPHUS_CORE_METADATA_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
+#include "common/client_table.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -77,11 +79,20 @@ class GlobalMetadata {
   std::uint64_t executed_count() const { return executed_.size(); }
 
  private:
+  struct ExecutedHash {
+    std::size_t operator()(
+        const std::pair<ClientId, RequestTimestamp>& k) const {
+      return HashCombine(k.first, k.second);
+    }
+  };
+
   PolicyConfig policy_;
   std::unordered_map<ZoneId, std::uint64_t> clients_per_zone_;
-  std::unordered_map<ClientId, std::uint32_t> migrations_;
-  std::unordered_map<ClientId, ZoneId> home_;
-  std::set<std::pair<ClientId, RequestTimestamp>> executed_;
+  ClientTable<std::uint32_t> migrations_;
+  ClientTable<ZoneId> home_;
+  // Dedup set: only ever probed and sized, so hashed.
+  std::unordered_set<std::pair<ClientId, RequestTimestamp>, ExecutedHash>
+      executed_;
 };
 
 }  // namespace ziziphus::core

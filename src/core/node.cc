@@ -248,6 +248,7 @@ ZiziphusNode::MemoryFootprint ZiziphusNode::Footprint() const {
   DataSyncEngine::RetentionStats s = sync_->retention();
   f.sync_bytes = s.approx_bytes;
   f.sync_requests = s.requests;
+  f.endorse_states = endorser_->retained_states();
   for (const auto& [k, v] : app_->Snapshot()) {
     f.app_bytes += k.size() + v.size() + 64;
   }

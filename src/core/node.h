@@ -124,6 +124,8 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
     std::size_t prepared_proofs = 0;
     std::size_t reply_cache_entries = 0;
     std::size_t sync_requests = 0;
+    /// ZoneEndorser instances held (never trimmed; not in total_bytes).
+    std::size_t endorse_states = 0;
     std::size_t total_bytes() const {
       return pbft_bytes + sync_bytes + app_bytes;
     }

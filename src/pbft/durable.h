@@ -3,6 +3,7 @@
 
 #include <map>
 
+#include "common/client_table.h"
 #include "common/types.h"
 #include "pbft/messages.h"
 #include "storage/checkpoint.h"
@@ -33,7 +34,8 @@ namespace ziziphus::pbft {
 ///    forgot a cast vote could silently drop the count below threshold.
 ///  - `client_ts`: last executed timestamp per client, so a recovered
 ///    replica keeps exactly-once semantics instead of re-applying requests
-///    it already executed.
+///    it already executed. A dense table indexed by client id: it is
+///    written on every executed op, so it must not cost a map insert.
 ///  - `checkpoint_client_ts`: the client table as of the stable checkpoint.
 ///    WAL replay seeds the live table from this and rebuilds forward, so
 ///    the replayed execution reproduces the original per-op duplicate
@@ -45,7 +47,7 @@ struct DurableState {
   storage::CommitLog wal;
   std::map<SeqNum, PreparedProof> prepared_proofs;
   std::map<SeqNum, PreparedProof> fast_votes;
-  std::map<ClientId, RequestTimestamp> client_ts;
+  ClientTable<RequestTimestamp> client_ts;
   std::map<ClientId, RequestTimestamp> checkpoint_client_ts;
 };
 

@@ -186,12 +186,17 @@ void PbftEngine::HandleClientRequest(
     transport_->counters().Inc(obs::CounterId::kPbftBadClientSig);
     return;
   }
-  auto it = clients_.find(msg->op.client);
-  if (it != clients_.end() &&
-      msg->op.timestamp <= it->second.last_executed_ts) {
+  // The signature does not bind the claimed client id, so screen it before
+  // it can reach the client table (which refuses ids it cannot hold).
+  if (!ClientTableHolds(msg->op.client)) {
+    transport_->counters().Inc(obs::CounterId::kPbftBadClientSig);
+    return;
+  }
+  const ClientState* cs = clients_.find(msg->op.client);
+  if (cs != nullptr && msg->op.timestamp <= cs->last_executed_ts) {
     // Replay: resend the cached reply (exactly-once semantics).
-    if (send_replies_ && msg->op.timestamp == it->second.last_executed_ts) {
-      std::shared_ptr<ClientReplyMsg> reply = it->second.last_reply;
+    if (send_replies_ && msg->op.timestamp == cs->last_executed_ts) {
+      std::shared_ptr<ClientReplyMsg> reply = cs->last_reply;
       if (reply == nullptr) {
         // The cached reply was evicted at a stable checkpoint. The client
         // table still proves execution, so synthesize an acknowledgement
@@ -289,10 +294,8 @@ void PbftEngine::EnqueueOp(const Operation& op) {
     if (!IsPrimary() && progress_timer_ == 0) ArmProgressTimer();
     return;
   }
-  auto it = clients_.find(op.client);
-  if (it != clients_.end() && op.timestamp <= it->second.last_executed_ts) {
-    return;
-  }
+  const ClientState* cs = clients_.find(op.client);
+  if (cs != nullptr && op.timestamp <= cs->last_executed_ts) return;
   seen_ops_[d] = true;
   if (obs::TraceContext ctx = transport_->trace_context(); ctx.active()) {
     pending_traces_.emplace(d, ctx);
@@ -729,14 +732,13 @@ void PbftEngine::ExecuteReady() {
     MaybeCheckpoint();
   }
   if (progressed) {
-    // Progress was made; reset or clear the suspicion timer.
+    // Progress was made; reset or clear the suspicion timer. Only slots
+    // above the execution point can be outstanding, so the scan starts
+    // there rather than walking the executed (not yet trimmed) prefix.
     bool outstanding = !pending_.empty();
-    for (const auto& [seq, slot] : slots_) {
-      if (seq > last_executed_ && slot.pre_prepare != nullptr &&
-          !slot.executed) {
-        outstanding = true;
-        break;
-      }
+    for (auto it = slots_.upper_bound(last_executed_);
+         !outstanding && it != slots_.end(); ++it) {
+      outstanding = it->second.pre_prepare != nullptr && !it->second.executed;
     }
     if (outstanding) {
       ArmProgressTimer();
@@ -754,6 +756,9 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
   std::erase_if(pending_, [digest](const Operation& p) {
     return p.ComputeDigest() == digest;
   });
+  // An id the client table cannot hold can only come from a Byzantine
+  // proposer; every replica skips it alike, as it would a duplicate.
+  if (!ClientTableHolds(op.client)) return;
   ClientState& cs = clients_[op.client];
   if (op.client != kInvalidClient && op.timestamp <= cs.last_executed_ts) {
     return;  // duplicate delivery of an already-executed request
@@ -801,7 +806,7 @@ void PbftEngine::MaybeCheckpoint() {
   pending.seq = last_executed_;
   pending.state_digest = state_machine_->StateDigest();
   pending.snapshot = state_machine_->Snapshot();
-  pending.coverage = read_covered_ts_;
+  pending.coverage = read_covered_ts_.ToMap();
   pending.tree = crypto::BuildReadTree(pending.snapshot, pending.coverage);
 
   auto msg = std::make_shared<CheckpointMsg>();
@@ -872,7 +877,7 @@ void PbftEngine::HandleCheckpoint(
     rebuilt.seq = msg->seq;
     rebuilt.state_digest = digest;
     rebuilt.snapshot = state_machine_->Snapshot();
-    rebuilt.coverage = read_covered_ts_;
+    rebuilt.coverage = read_covered_ts_.ToMap();
     rebuilt.tree = crypto::BuildReadTree(rebuilt.snapshot, rebuilt.coverage);
     if (rebuilt.tree.root() == root) {
       AdvanceStable(msg->seq, builder.certificate(), std::move(rebuilt));
@@ -943,7 +948,9 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
     durable_->checkpoint_client_ts.clear();
     for (const auto& [client, cs] : clients_) {
       if (client != kInvalidClient) {
-        durable_->checkpoint_client_ts[client] = cs.last_executed_ts;
+        durable_->checkpoint_client_ts.emplace_hint(
+            durable_->checkpoint_client_ts.end(), client,
+            cs.last_executed_ts);
       }
     }
   }
@@ -1117,7 +1124,10 @@ void PbftEngine::HandleStateRequest(
     transport_->counters().Inc(obs::CounterId::kPbftFullTransfers);
   }
   for (const auto& [client, cs] : clients_) {
-    if (client != kInvalidClient) resp->client_ts[client] = cs.last_executed_ts;
+    if (client != kInvalidClient) {
+      resp->client_ts.emplace_hint(resp->client_ts.end(), client,
+                                   cs.last_executed_ts);
+    }
   }
   transport_->ChargeCrypto(config_.costs.crypto.digest_us);
   transport_->ChargeCpu(config_.costs.send_us);
@@ -1189,6 +1199,7 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
   // Adopt the responder's client table (max-merge) so a recovered replica
   // does not re-apply requests executed during its outage.
   for (const auto& [client, ts] : msg.client_ts) {
+    if (!ClientTableHolds(client)) continue;  // forged id
     ClientState& cs = clients_[client];
     if (ts > cs.last_executed_ts) cs.last_executed_ts = ts;
     RequestTimestamp& covered = read_covered_ts_[client];
@@ -1232,10 +1243,12 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
     }
     StagedBatch st{e.seq, &e, {}};
     for (const auto& op : e.batch.ops) {
+      if (!ClientTableHolds(op.client)) continue;  // see ExecuteOp
       if (op.client != kInvalidClient) {
         RequestTimestamp seen = 0;
-        auto cit = clients_.find(op.client);
-        if (cit != clients_.end()) seen = cit->second.last_executed_ts;
+        if (const ClientState* cs = clients_.find(op.client)) {
+          seen = cs->last_executed_ts;
+        }
         auto sit = staged_ts.find(op.client);
         if (sit != staged_ts.end()) seen = std::max(seen, sit->second);
         if (op.timestamp <= seen) continue;  // duplicate of executed request
@@ -1710,6 +1723,7 @@ void PbftEngine::RestoreFromDurable() {
       break;
     }
     for (const auto& op : pit->second.batch.ops) {
+      if (!ClientTableHolds(op.client)) continue;  // see ExecuteOp
       ClientState& cs = clients_[op.client];
       if (op.client != kInvalidClient &&
           op.timestamp <= cs.last_executed_ts) {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/client_table.h"
 #include "crypto/certificate.h"
 #include "crypto/signature.h"
 #include "pbft/config.h"
@@ -88,6 +89,10 @@ class PbftEngine {
   /// Commit-latency EWMA driving the fault-adaptive timers (introspection
   /// for tests; 0 until the first commit is observed).
   Duration commit_latency_ewma() const { return commit_ewma_.value(); }
+
+  /// True while the primary-suspicion (progress) timer is armed
+  /// (introspection for tests).
+  bool progress_timer_armed() const { return progress_timer_ != 0; }
 
   const OrderingStrategy& ordering() const { return *ordering_; }
 
@@ -334,7 +339,7 @@ class PbftEngine {
   std::map<SeqNum, Slot> slots_;
   std::vector<Operation> pending_;
   std::unordered_map<std::uint64_t, bool> seen_ops_;  // digest -> queued
-  std::unordered_map<ClientId, ClientState> clients_;
+  ClientTable<ClientState> clients_;
   // Trace contexts parked while their operation waits in `pending_`: the
   // batch timer (not the request handler) often triggers the proposal, so
   // the causal chain must be bridged across the batching boundary.
@@ -363,7 +368,7 @@ class PbftEngine {
   // last stable checkpoint: the read-your-writes coverage a read reply may
   // truthfully claim. merged_deps_/checkpoint_deps_ are the causal-session
   // dependency vector (max-merged writer floors), live and as-of-checkpoint.
-  std::map<ClientId, RequestTimestamp> read_covered_ts_;
+  ClientTable<RequestTimestamp> read_covered_ts_;
   std::map<ClientId, RequestTimestamp> checkpoint_client_ts_;
   std::map<ZoneId, SeqNum> merged_deps_;
   std::map<ZoneId, SeqNum> checkpoint_deps_;

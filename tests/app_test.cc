@@ -1,5 +1,6 @@
 #include "app/bank.h"
 #include "app/experiment.h"
+#include "app/experiment_config.h"
 #include "app/health.h"
 #include "gtest/gtest.h"
 
@@ -165,6 +166,25 @@ TEST(ExperimentSmokeTest, ClusteredZiziphusRun) {
   wl.mix.cross_cluster_fraction = 0.5;
   auto r = RunExperiment(Protocol::kZiziphus, ClusteredDeployment(2), wl);
   EXPECT_GT(r.local_ops + r.global_ops, 10u) << r.ToString();
+}
+
+TEST(ExperimentConfigTest, FromFlagsAppliesKnownFlags) {
+  char prog[] = "cli";
+  char zones[] = "--zones=5";
+  char seed[] = "--seed=9";
+  char* argv[] = {prog, zones, seed};
+  ExperimentConfig cfg = ExperimentConfig::FromFlags(3, argv);
+  EXPECT_EQ(cfg.zones, 5u);
+  EXPECT_EQ(cfg.workload.seed, 9u);
+}
+
+TEST(ExperimentConfigDeathTest, FromFlagsRejectsUnknownFlag) {
+  char prog[] = "cli";
+  char typo[] = "--zone=9";
+  char measure[] = "--measure-ms=200";
+  char* argv[] = {prog, measure, typo};
+  EXPECT_EXIT(ExperimentConfig::FromFlags(3, argv),
+              testing::ExitedWithCode(2), "unknown flag: --zone=9");
 }
 
 }  // namespace

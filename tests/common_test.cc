@@ -1,6 +1,10 @@
+#include <map>
 #include <set>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/client_table.h"
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -192,6 +196,125 @@ TEST(CounterSetTest, ParentRollupAndAll) {
   auto all = child.All();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all.at("net.msgs_sent"), 2u);
+}
+
+// ---- ClientTable --------------------------------------------------------
+
+template <typename V>
+std::vector<std::pair<ClientId, V>> Entries(const ClientTable<V>& t) {
+  std::vector<std::pair<ClientId, V>> out;
+  for (const auto& [id, v] : t) out.emplace_back(id, v);
+  return out;
+}
+
+template <typename V>
+std::vector<std::pair<ClientId, V>> Entries(const std::map<ClientId, V>& m) {
+  return {m.begin(), m.end()};
+}
+
+TEST(ClientTableTest, MatchesOrderedMapOnRandomInserts) {
+  Rng rng(2024);
+  ClientTable<std::uint64_t> table;
+  std::map<ClientId, std::uint64_t> ref;
+  for (int i = 0; i < 5000; ++i) {
+    // Mostly small dense ids, some repeats, and the invalid-client slot.
+    ClientId id = rng.NextBool(0.05)
+                      ? kInvalidClient
+                      : static_cast<ClientId>(rng.NextBounded(700));
+    std::uint64_t v = rng.Next();
+    if (rng.NextBool(0.3)) {
+      table[id];  // default insert, value untouched if present
+      ref[id];
+    } else {
+      table[id] = v;
+      ref[id] = v;
+    }
+  }
+  EXPECT_EQ(table.size(), ref.size());
+  EXPECT_EQ(Entries(table), Entries(ref));
+  EXPECT_EQ(table.ToMap(), ref);
+  for (ClientId id = 0; id < 800; ++id) {
+    const std::uint64_t* v = table.find(id);
+    auto it = ref.find(id);
+    ASSERT_EQ(v != nullptr, it != ref.end()) << id;
+    if (v != nullptr) {
+      EXPECT_EQ(*v, it->second);
+    }
+  }
+}
+
+TEST(ClientTableTest, InvalidClientSlotIteratesLast) {
+  ClientTable<int> table;
+  table[kInvalidClient] = 1;
+  table[5] = 2;
+  table[0] = 3;
+  std::vector<std::pair<ClientId, int>> want = {
+      {0, 3}, {5, 2}, {kInvalidClient, 1}};
+  EXPECT_EQ(Entries(table), want);
+  ASSERT_NE(table.find(kInvalidClient), nullptr);
+  EXPECT_EQ(*table.find(kInvalidClient), 1);
+}
+
+TEST(ClientTableTest, FindNeverGrowsTheTable) {
+  ClientTable<int> table;
+  EXPECT_EQ(table.find(3), nullptr);
+  EXPECT_EQ(table.find(kInvalidClient), nullptr);
+  EXPECT_EQ(table.find(kMaxTableClientId + 1), nullptr);  // beyond
+  EXPECT_EQ(table.find(0x7fffffffu), nullptr);
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.begin(), table.end());
+  table[2] = 7;
+  EXPECT_EQ(table.find(1), nullptr);  // a hole below a present id
+  EXPECT_EQ(table.find(9), nullptr);  // past the dense end
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(Entries(table), (std::vector<std::pair<ClientId, int>>{{2, 7}}));
+}
+
+TEST(ClientTableTest, ClearResetsSize) {
+  ClientTable<int> table;
+  table[1] = 1;
+  table[kInvalidClient] = 2;
+  ASSERT_EQ(table.size(), 2u);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.find(1), nullptr);
+  EXPECT_EQ(table.find(kInvalidClient), nullptr);
+  EXPECT_EQ(table.begin(), table.end());
+  table[4] = 5;
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(ClientTableTest, CopiesAreIndependent) {
+  ClientTable<int> a;
+  a[1] = 1;
+  ClientTable<int> b = a;
+  b[2] = 2;
+  a = b;
+  a[1] = 9;
+  using Want = std::vector<std::pair<ClientId, int>>;
+  EXPECT_EQ(Entries(a), (Want{{1, 9}, {2, 2}}));
+  EXPECT_EQ(Entries(b), (Want{{1, 1}, {2, 2}}));
+  b[kInvalidClient] = 3;
+  ClientTable<int> c = std::move(b);
+  EXPECT_EQ(c.size(), 3u);
+  // A moved-from table is empty, not merely valid.
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.find(kInvalidClient), nullptr);
+}
+
+TEST(ClientTableTest, HoldsScreensIds) {
+  EXPECT_TRUE(ClientTableHolds(0));
+  EXPECT_TRUE(ClientTableHolds(kMaxTableClientId));
+  EXPECT_TRUE(ClientTableHolds(kInvalidClient));
+  EXPECT_FALSE(ClientTableHolds(kMaxTableClientId + 1));
+  EXPECT_FALSE(ClientTableHolds(kInvalidClient - 1));
+}
+
+TEST(ClientTableDeathTest, AbsurdIdDies) {
+  ClientTable<int> table;
+  EXPECT_DEATH(table[kInvalidClient - 1] = 1, "ZCHECK failed");
+  EXPECT_DEATH(table[kMaxTableClientId + 1] = 1, "ZCHECK failed");
 }
 
 }  // namespace

@@ -78,6 +78,12 @@ TEST(GlobalMetadataTest, ValidateRejectsMalformed) {
   EXPECT_FALSE(md.ValidateMigration(Op(kInvalidClient, 0, 1, 1)).ok());
   EXPECT_FALSE(md.ValidateMigration(Op(1, 0, 0, 1)).ok());
   EXPECT_FALSE(md.ValidateMigration(Op(1, kInvalidZone, 1, 1)).ok());
+  // An id beyond the dense client tables is malformed too, and executing
+  // it is a policy rejection, not an abort.
+  const ClientId bogus = kMaxTableClientId + 1;
+  EXPECT_FALSE(md.ValidateMigration(Op(bogus, 0, 1, 1)).ok());
+  EXPECT_EQ(md.Execute(Op(bogus, 0, 1, 1)).rfind("rejected", 0), 0u);
+  EXPECT_EQ(md.HomeOf(bogus), kInvalidZone);
 }
 
 TEST(GlobalMetadataTest, DigestTracksState) {

@@ -251,6 +251,151 @@ TEST(StateTransferBackoffTest, CapBelowBaseClampsToBase) {
   }
 }
 
+// A transport that drives one engine by hand: messages the engine sends to
+// itself are looped back on Pump(), everything else is dropped, and armed
+// timers are tracked but never fire.
+class ScriptedTransport : public sim::Transport {
+ public:
+  explicit ScriptedTransport(NodeId self) : self_(self) {}
+  void set_engine(pbft::PbftEngine* engine) { engine_ = engine; }
+
+  NodeId self() const override { return self_; }
+  SimTime Now() const override { return 0; }
+  void Send(NodeId dst, sim::MessagePtr msg) override {
+    if (dst == self_) loopback_.push_back(std::move(msg));
+  }
+  void Multicast(const std::vector<NodeId>& dsts,
+                 sim::MessagePtr msg) override {
+    for (NodeId d : dsts) Send(d, msg);
+  }
+  std::uint64_t SetTimer(Duration, std::uint64_t) override {
+    return ++next_timer_;
+  }
+  void CancelTimer(std::uint64_t) override {}
+  void ChargeCpu(Duration) override {}
+  CounterSet& counters() override { return counters_; }
+
+  /// Delivers `msg` as if sent by `from`, then drains the loopback queue.
+  void Deliver(NodeId from, const std::shared_ptr<sim::Message>& msg) {
+    msg->set_from(from);
+    engine_->HandleMessage(msg);
+    while (!loopback_.empty()) {
+      sim::MessagePtr m = loopback_.front();
+      loopback_.erase(loopback_.begin());
+      std::const_pointer_cast<sim::Message>(m)->set_from(self_);
+      engine_->HandleMessage(m);
+    }
+  }
+
+ private:
+  NodeId self_;
+  pbft::PbftEngine* engine_ = nullptr;
+  std::vector<sim::MessagePtr> loopback_;
+  std::uint64_t next_timer_ = 0;
+  CounterSet counters_;
+};
+
+// Backup replica 1 of a 4-replica view-0 group, fed hand-built messages
+// from the primary (0) and replica 2.
+struct ScriptedBackup {
+  ScriptedBackup() : net(/*self=*/1), engine(&net, &keys, Config(), &app) {
+    net.set_engine(&engine);
+  }
+  static pbft::PbftConfig Config() {
+    pbft::PbftConfig config;
+    config.members = {0, 1, 2, 3};
+    config.f = 1;
+    return config;
+  }
+
+  /// The primary pre-prepares a one-op batch at `seq`; returns its digest.
+  crypto::Digest PrePrepare(SeqNum seq, ClientId client) {
+    auto pp = std::make_shared<pbft::PrePrepareMsg>();
+    pp->seq = seq;
+    pbft::Operation op;
+    op.client = client;
+    op.timestamp = 1;
+    op.command = "op" + std::to_string(seq);
+    pp->batch.ops.push_back(op);
+    pp->batch_digest = pp->batch.ComputeDigest();
+    pp->sig = keys.Sign(0, pp->digest());
+    net.Deliver(0, pp);
+    return pp->batch_digest;
+  }
+
+  /// Replica 2's prepare plus commits from 0 and 2: with this replica's own
+  /// votes that is a prepare and a commit quorum.
+  void Certify(SeqNum seq, crypto::Digest d) {
+    auto prepare = std::make_shared<pbft::PrepareMsg>();
+    prepare->seq = seq;
+    prepare->batch_digest = d;
+    prepare->replica = 2;
+    prepare->sig = keys.Sign(2, prepare->digest());
+    net.Deliver(2, prepare);
+    for (NodeId from : {0u, 2u}) {
+      auto commit = std::make_shared<pbft::CommitMsg>();
+      commit->seq = seq;
+      commit->batch_digest = d;
+      commit->replica = from;
+      commit->sig = keys.Sign(from, commit->digest());
+      net.Deliver(from, commit);
+    }
+  }
+
+  crypto::KeyRegistry keys{7};
+  ScriptedTransport net;
+  pbft::EchoStateMachine app;
+  pbft::PbftEngine engine;
+};
+
+// After executing a slot, the suspicion timer stays armed while a later slot
+// is pre-prepared but unexecuted — even with no queued requests — and is
+// disarmed once that slot executes. Pins the outstanding scan in
+// ExecuteReady, which starts above the execution point.
+TEST(PbftTest, ProgressTimerTracksOutstandingSlotsAboveExecution) {
+  ScriptedBackup b;
+  crypto::Digest d1 = b.PrePrepare(1, 10);
+  crypto::Digest d2 = b.PrePrepare(2, 11);
+  ASSERT_TRUE(b.engine.progress_timer_armed());
+  b.Certify(1, d1);
+  ASSERT_EQ(b.engine.last_executed(), 1u);
+  // Slot 2 is pre-prepared above the execution point and nothing is queued
+  // (this backup never saw the client requests): still outstanding.
+  EXPECT_TRUE(b.engine.progress_timer_armed());
+  b.Certify(2, d2);
+  ASSERT_EQ(b.engine.last_executed(), 2u);
+  EXPECT_FALSE(b.engine.progress_timer_armed());
+  EXPECT_EQ(b.app.applied(), 2u);
+}
+
+// A client id the dense client table cannot hold is refused at the request
+// boundary, and skipped at execution when a Byzantine primary proposes it,
+// instead of aborting the replica.
+TEST(PbftTest, OutOfRangeClientIdsAreScreened) {
+  const ClientId bogus = kMaxTableClientId + 1;
+  {
+    PbftCluster c(4, 1);
+    pbft::Operation op;
+    op.client = bogus;
+    op.timestamp = 1;
+    op.command = "forged-id";
+    auto req = std::make_shared<pbft::ClientRequestMsg>();
+    req->op = op;
+    req->client_sig = c.keys.Sign(c.client->id(), req->ComputeDigest());
+    c.client->Send(c.members[0], req);
+    c.sim.RunFor(Millis(500));
+    EXPECT_EQ(c.app(0).applied(), 0u);
+    EXPECT_GE(c.sim.counters().Get(obs::CounterId::kPbftBadClientSig), 1u);
+  }
+  ScriptedBackup b;
+  b.Certify(1, b.PrePrepare(1, bogus));
+  EXPECT_EQ(b.engine.last_executed(), 1u);
+  EXPECT_EQ(b.app.applied(), 0u);
+  b.Certify(2, b.PrePrepare(2, 10));
+  EXPECT_EQ(b.engine.last_executed(), 2u);
+  EXPECT_EQ(b.app.applied(), 1u);
+}
+
 // A Byzantine primary that sends different batches to different replicas.
 class EquivocatingEngine : public pbft::PbftEngine {
  public:

@@ -258,6 +258,44 @@ TEST(RetentionRejoinTest, AmnesiacWithLiveAnchorCatchesUpViaDelta) {
   EXPECT_TRUE(viol.empty()) << RetentionFixture::Describe(viol);
 }
 
+// ------------------------------------------------ endorser retention
+
+// ZoneEndorser keeps every finished endorsement instance (the data-sync
+// engine re-reads CertFor on retries), so its state grows with the number
+// of endorsed global requests and survives checkpoint trimming. This pins
+// that unbounded growth until a watermark trims it (ROADMAP, durable state).
+TEST(RetentionTest, EndorserStateGrowsWithEveryGlobalRequest) {
+  RetentionFixture fx(/*checkpoint_interval=*/4);
+  auto endorse_states = [&] {
+    std::size_t total = 0;
+    for (const auto& node : fx.sys.nodes()) {
+      total += node->Footprint().endorse_states;
+    }
+    return total;
+  };
+  auto migrate = [&](ZoneId from, ZoneId to) {
+    auto ts = fx.client->SubmitGlobal(fx.sys.PrimaryOf(0)->id(), from, to);
+    fx.sys.sim().RunFor(Seconds(3));
+    ASSERT_TRUE(fx.client->MigrationDone(ts));
+    // Local traffic drives checkpoints (and PBFT trimming) in between.
+    fx.client->SubmitLocalSequence(fx.sys.PrimaryOf(to)->id(), 8, "DEP ");
+    fx.sys.sim().RunFor(Seconds(2));
+  };
+  std::vector<std::size_t> samples = {endorse_states()};
+  for (int i = 0; i < 6; ++i) {
+    migrate(i % 2 == 0 ? 0 : 1, i % 2 == 0 ? 1 : 0);
+    samples.push_back(endorse_states());
+  }
+  EXPECT_GE(fx.sys.sim().counters().Get(obs::CounterId::kPbftLogTrims), 1u);
+  // Every migration adds the same number of instances fleet-wide (24 on
+  // this 3-zone, 12-node deployment) and none is ever reclaimed.
+  ASSERT_EQ(samples[0], 0u);
+  EXPECT_EQ(samples[1], 24u);
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i], i * samples[1]) << "after migration " << i;
+  }
+}
+
 // ----------------------------------------------------------- soak smoke
 
 SoakOptions ShortSoak() {
