@@ -294,6 +294,32 @@ TEST(ByzantineBehaviorTest, EquivocatingInterceptorForgesPerDestination) {
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
+// seed -> {fingerprint, obs_json digest}; see testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kChaosSweepGoldens = {
+    {1, {0x1207b6aa26bfab7cULL, 0x15a03c68ae55fdafULL}},
+    {2, {0x4fba7c4700b3ea40ULL, 0x301fa7310a23ca47ULL}},
+    {3, {0xea0d797fea2af765ULL, 0xf0585e356784cd3aULL}},
+    {4, {0x229c0e5d33d0991dULL, 0xf4c6238628743d05ULL}},
+    {5, {0x6cc1dafd8f370c15ULL, 0xa30a13018d7954a2ULL}},
+    {6, {0x764a630fb15251e5ULL, 0xb7acb98763aae089ULL}},
+    {7, {0x30a5e324ab55a288ULL, 0xdf2a1e63ff94b625ULL}},
+    {8, {0x8798a60ddd0f7087ULL, 0x4a35ac0946c5db8eULL}},
+    {9, {0x9aeec521b2b46621ULL, 0xccb67a7fcf008419ULL}},
+    {10, {0x90cf0e0e84355112ULL, 0x603bae405dee5128ULL}},
+    {11, {0x51970ca30aa07f29ULL, 0x6f3b8b27bc695ab4ULL}},
+    {12, {0x439dea235434e5a3ULL, 0x8cb049e0ba473ca5ULL}},
+    {13, {0xadc40e4c49031dd0ULL, 0xeaccf135710e3f12ULL}},
+    {14, {0x187841280d3cf4b7ULL, 0x334b4d4564d27b35ULL}},
+    {15, {0x602d73ab0375c77cULL, 0xc4850701a43f8fb6ULL}},
+    {16, {0x596bbf0e1a001065ULL, 0x8aa570048e16476aULL}},
+    {17, {0x7d75b34e8a357aa7ULL, 0x0a7a93ac8e55e8adULL}},
+    {18, {0x40c65d1581211ac9ULL, 0x6d7ab851b6c04ebeULL}},
+    {19, {0xe2b4846924976e6fULL, 0x1be34e3c2acf0edeULL}},
+    {20, {0x261c74ae19a3a25aULL, 0xff516a25d49edaaaULL}},
+    {21, {0x809552a88f0e51ebULL, 0x36fd3e8910c01565ULL}},
+    {22, {0x0c750252b3d41f0dULL, 0x99f9747fa1dc4802ULL}},
+};
+
 TEST_P(ChaosSweep, SeededRunHoldsAllInvariants) {
   ChaosOptions opt;
   opt.seed = GetParam();
@@ -303,6 +329,8 @@ TEST_P(ChaosSweep, SeededRunHoldsAllInvariants) {
   // Every run fields at least one Byzantine replica per zone (budget <= f).
   EXPECT_EQ(r.byzantine_roster.size(), opt.zones * 1u);
   EXPECT_GE(r.events, 1u);
+  EXPECT_TRUE(testutil::MatchesGolden(kChaosSweepGoldens, opt.seed,
+                                      r.fingerprint, r.obs_json));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,

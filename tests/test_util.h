@@ -1,6 +1,7 @@
 #ifndef ZIZIPHUS_TESTS_TEST_UTIL_H_
 #define ZIZIPHUS_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -8,6 +9,8 @@
 #include <vector>
 
 #include "baselines/pbft_process.h"
+#include "common/hash.h"
+#include "gtest/gtest.h"
 #include "core/messages.h"
 #include "core/system.h"
 #include "pbft/messages.h"
@@ -207,6 +210,41 @@ struct PbftCluster {
   std::vector<std::unique_ptr<baselines::PbftReplicaProcess>> replicas;
   std::unique_ptr<TestClient> client;
 };
+
+/// Pinned outcome of one seeded chaos run: the counter fingerprint plus a
+/// digest of the byte-exact observability export. The sweeps compare each
+/// run against a committed table, so a change that moves behaviour fails
+/// even when two runs of the same build still agree with each other; the
+/// plain and sanitizer builds must reproduce the same table.
+struct RunGolden {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t obs_digest = 0;
+};
+
+inline std::uint64_t ObsDigest(const std::string& obs_json) {
+  return Hasher(0x0b5d).Add(obs_json).Finish();
+}
+
+/// Checks one run against its golden row. On a mismatch (or a missing row)
+/// the failure prints the observed row in table syntax.
+inline ::testing::AssertionResult MatchesGolden(
+    const std::map<std::uint64_t, RunGolden>& table, std::uint64_t seed,
+    std::uint64_t fingerprint, const std::string& obs_json) {
+  const std::uint64_t obs = ObsDigest(obs_json);
+  auto it = table.find(seed);
+  if (it != table.end() && it->second.fingerprint == fingerprint &&
+      it->second.obs_digest == obs) {
+    return ::testing::AssertionSuccess();
+  }
+  char row[96];
+  std::snprintf(row, sizeof(row), "{%llu, {0x%016llxULL, 0x%016llxULL}},",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(fingerprint),
+                static_cast<unsigned long long>(obs));
+  return ::testing::AssertionFailure()
+         << (it == table.end() ? "no golden row; observed " : "observed ")
+         << row;
+}
 
 }  // namespace ziziphus::testutil
 
