@@ -1,5 +1,6 @@
 #include "app/experiment_config.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,8 +79,32 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-std::uint64_t ToU64(const std::string& v) {
-  return std::strtoull(v.c_str(), nullptr, 10);
+[[noreturn]] void BadValue(const char* name, const std::string& v,
+                          const char* want) {
+  std::fprintf(stderr, "invalid --%s=%s (want %s)\n", name, v.c_str(), want);
+  std::exit(2);
+}
+
+/// The whole value as an unsigned decimal; anything else (empty, a sign,
+/// trailing characters, overflow) exits 2 naming the flag.
+std::uint64_t ToU64(const char* name, const std::string& v) {
+  std::uint64_t out = 0;
+  const char* end = v.data() + v.size();
+  auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc() || ptr != end) {
+    BadValue(name, v, "an unsigned integer");
+  }
+  return out;
+}
+
+/// The whole value as a fraction in [0, 1], else exit 2 naming the flag.
+double ToFraction(const char* name, const std::string& v) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size() || !(d >= 0.0 && d <= 1.0)) {
+    BadValue(name, v, "a fraction in [0,1]");
+  }
+  return d;
 }
 
 }  // namespace
@@ -103,19 +128,20 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
       std::exit(2);
     }
   } else if (FlagValue(arg, "zones", &v)) {
-    zones = ToU64(v);
+    zones = ToU64("zones", v);
+    if (zones == 0) BadValue("zones", v, "at least one zone");
   } else if (FlagValue(arg, "clusters", &v)) {
-    clusters = ToU64(v);
+    clusters = ToU64("clusters", v);
   } else if (FlagValue(arg, "f", &v)) {
-    f = ToU64(v);
+    f = ToU64("f", v);
   } else if (FlagValue(arg, "clients", &v)) {
-    workload.clients_per_zone = ToU64(v);
+    workload.clients_per_zone = ToU64("clients", v);
   } else if (FlagValue(arg, "global", &v)) {
-    workload.mix.global_fraction = std::strtod(v.c_str(), nullptr);
+    workload.mix.global_fraction = ToFraction("global", v);
   } else if (FlagValue(arg, "cross", &v)) {
-    workload.mix.cross_cluster_fraction = std::strtod(v.c_str(), nullptr);
+    workload.mix.cross_cluster_fraction = ToFraction("cross", v);
   } else if (FlagValue(arg, "reads", &v)) {
-    workload.mix.read_fraction = std::strtod(v.c_str(), nullptr);
+    workload.mix.read_fraction = ToFraction("reads", v);
   } else if (FlagValue(arg, "verified-reads", &v)) {
     workload.verified_reads = v != "0" && v != "false";
   } else if (std::strcmp(arg, "--causal") == 0) {
@@ -123,11 +149,11 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
   } else if (FlagValue(arg, "causal", &v)) {
     workload.causal = v != "0" && v != "false";
   } else if (FlagValue(arg, "warmup-ms", &v)) {
-    workload.warmup = Millis(ToU64(v));
+    workload.warmup = Millis(ToU64("warmup-ms", v));
   } else if (FlagValue(arg, "measure-ms", &v)) {
-    workload.measure = Millis(ToU64(v));
+    workload.measure = Millis(ToU64("measure-ms", v));
   } else if (FlagValue(arg, "seed", &v)) {
-    workload.seed = ToU64(v);
+    workload.seed = ToU64("seed", v);
   } else if (FlagValue(arg, "queue", &v)) {
     if (v == "calendar") {
       workload.queue = sim::EventQueueKind::kCalendar;
@@ -139,7 +165,7 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
       std::exit(2);
     }
   } else if (FlagValue(arg, "faults", &v)) {
-    faults.crashed_backups_per_zone = ToU64(v);
+    faults.crashed_backups_per_zone = ToU64("faults", v);
   } else if (std::strcmp(arg, "--no-stable-leader") == 0) {
     stable_leader = false;
   } else if (std::strcmp(arg, "--trace") == 0) {
@@ -147,17 +173,17 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
   } else if (FlagValue(arg, "trace", &v)) {
     obs.trace = v != "0" && v != "false";
   } else if (FlagValue(arg, "sample-every", &v)) {
-    obs.sample_every = ToU64(v);
+    obs.sample_every = ToU64("sample-every", v);
   } else if (FlagValue(arg, "json-out", &v)) {
     obs.json_out = v;
   } else if (FlagValue(arg, "byzantine", &v)) {
-    chaos.byzantine_per_zone = ToU64(v);
+    chaos.byzantine_per_zone = ToU64("byzantine", v);
   } else if (FlagValue(arg, "think-ms", &v)) {
-    chaos.client_think = Millis(ToU64(v));
+    chaos.client_think = Millis(ToU64("think-ms", v));
   } else if (FlagValue(arg, "fault-window-ms", &v)) {
-    chaos.fault_window = Millis(ToU64(v));
+    chaos.fault_window = Millis(ToU64("fault-window-ms", v));
   } else if (FlagValue(arg, "crash-amnesia", &v)) {
-    chaos.amnesia_crashes = ToU64(v);
+    chaos.amnesia_crashes = ToU64("crash-amnesia", v);
   } else if (FlagValue(arg, "ordering", &v)) {
     std::optional<pbft::Ordering> o = pbft::ParseOrdering(v);
     if (!o.has_value()) {
@@ -173,7 +199,7 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
   } else if (FlagValue(arg, "byz-forge-reads", &v)) {
     chaos.byz_forge_reads = v != "0" && v != "false";
   } else if (FlagValue(arg, "latency-flaps", &v)) {
-    chaos.latency_flaps = ToU64(v);
+    chaos.latency_flaps = ToU64("latency-flaps", v);
   } else {
     return false;
   }

@@ -39,12 +39,11 @@ bool DataSyncEngine::IAmProxy() const {
 }
 
 Ballot DataSyncEngine::NextBallot(ZoneId chain_zone) {
-  std::uint64_t n =
-      std::max({highest_n_seen_, my_last_ballot_.n, my_last_cross_ballot_.n}) +
-      1;
-  highest_n_seen_ = n;
-  if (durable_ != nullptr) durable_->highest_n_seen = highest_n_seen_;
-  return Ballot{n, chain_zone};
+  SyncDurableState& d = *durable_;
+  d.highest_n_seen = std::max({d.highest_n_seen, d.my_last_ballot.n,
+                               d.my_last_cross_ballot.n}) +
+                     1;
+  return Ballot{d.highest_n_seen, chain_zone};
 }
 
 std::uint64_t DataSyncEngine::ArmTimer(std::uint64_t request_id,
@@ -73,8 +72,8 @@ Status DataSyncEngine::VerifyZoneCert(const crypto::Certificate& cert,
 }
 
 Ballot DataSyncEngine::last_executed_ballot(ZoneId initiator) const {
-  auto it = chain_executed_.find(initiator);
-  return it == chain_executed_.end() ? kNullBallot : it->second;
+  auto it = durable_->chain_executed.find(initiator);
+  return it == durable_->chain_executed.end() ? kNullBallot : it->second;
 }
 
 // -------------------------------------------------------------- dispatch
@@ -184,7 +183,7 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
       auto wit = relay_watch_.find(request_id);
       if (wit != relay_watch_.end() && !req.saw_endorse &&
           req.commit_msg == nullptr &&
-          executed_op_ids_.count(request_id) == 0) {
+          durable_->executed_op_ids.count(request_id) == 0) {
         // The primary ignored a relayed migration request: suspect it.
         transport_->counters().Inc(obs::CounterId::kSyncRelayWatchExpired);
         relay_watch_.erase(wit);
@@ -220,7 +219,8 @@ void DataSyncEngine::HandleMigrationRequest(
     return;  // malformed; faulty client
   }
   std::uint64_t op_id = op.RequestId();
-  if (executed_op_ids_.count(op_id) > 0 || queued_op_ids_.count(op_id) > 0) {
+  if (durable_->executed_op_ids.count(op_id) > 0 ||
+      queued_op_ids_.count(op_id) > 0) {
     return;  // duplicate
   }
   if (!IsZonePrimary()) {
@@ -335,14 +335,11 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
   ZoneId chain_zone =
       cross_chain ? my_zone_ + static_cast<ZoneId>(topology_->num_zones())
                   : my_zone_;
-  Ballot& tail = cross_chain ? my_last_cross_ballot_ : my_last_ballot_;
   req.ballot = NextBallot(chain_zone);
+  Ballot& tail = cross_chain ? durable_->my_last_cross_ballot
+                             : durable_->my_last_ballot;
   req.prev = tail;
   tail = req.ballot;
-  if (durable_ != nullptr) {
-    (cross_chain ? durable_->my_last_cross_ballot : durable_->my_last_ballot) =
-        tail;
-  }
   req.initiator_zone = my_zone_;
   req.exec_ballot = req.ballot;
   req.exec_prev = req.prev;
@@ -434,7 +431,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       relay_watch_.erase(wit);
     }
   }
-  highest_n_seen_ = std::max(highest_n_seen_, pp.ballot.n);
+  durable_->highest_n_seen = std::max(durable_->highest_n_seen, pp.ballot.n);
 
   // Phase-specific digest validation: recompute what the zone is being
   // asked to sign.
@@ -739,18 +736,17 @@ void DataSyncEngine::HandlePropose(
   }
   req.promised = msg->ballot;
   req.ballot = msg->ballot;
-  highest_n_seen_ = std::max(highest_n_seen_, msg->ballot.n);
-  if (durable_ != nullptr) {
-    // The promise must hit "disk" before the PROMISE message can leave this
-    // zone: a restarted replica that forgot it could double-vote the ballot.
-    durable_->promised[req.id] = msg->ballot;
-    durable_->highest_n_seen = highest_n_seen_;
-  }
+  // The promise must hit "disk" before the PROMISE message can leave this
+  // zone: a restarted replica that forgot it could double-vote the ballot.
+  // The request's live bound (req.promised) is separate because requests_
+  // is volatile; RestoreFromDurable re-creates it from this record.
+  durable_->promised[req.id] = msg->ballot;
+  durable_->highest_n_seen = std::max(durable_->highest_n_seen, msg->ballot.n);
 
+  const Ballot accepted = durable_->last_accepted_ballot;
   endorser_->Start(
-      EndorsePhase::kPromise, req.id, msg->ballot, last_accepted_ballot_,
-      PromiseContentDigest(req.id, msg->ballot, last_accepted_ballot_,
-                           my_zone_),
+      EndorsePhase::kPromise, req.id, msg->ballot, accepted,
+      PromiseContentDigest(req.id, msg->ballot, accepted, my_zone_),
       msg, req.ops.front(), req.ops, {},
       /*full_prepare=*/config_.always_full_prepare);
 }
@@ -817,12 +813,9 @@ void DataSyncEngine::HandleAccept(
   req.ballot = msg->ballot;
   req.prev = msg->prev;
   req.phase = Phase::kAccepting;
-  highest_n_seen_ = std::max(highest_n_seen_, msg->ballot.n);
-  if (msg->ballot > last_accepted_ballot_) last_accepted_ballot_ = msg->ballot;
-  if (durable_ != nullptr) {
-    durable_->highest_n_seen = highest_n_seen_;
-    durable_->last_accepted_ballot = last_accepted_ballot_;
-  }
+  durable_->highest_n_seen = std::max(durable_->highest_n_seen, msg->ballot.n);
+  durable_->last_accepted_ballot =
+      std::max(durable_->last_accepted_ballot, msg->ballot);
 
   endorser_->Start(
       EndorsePhase::kAccepted, req.id, msg->ballot, msg->prev,
@@ -894,18 +887,14 @@ void DataSyncEngine::HandleGlobalCommit(
     transport_->CancelTimer(req.retry_timer);
     req.retry_timer = 0;
   }
-  if (msg->ballot.zone == my_zone_ && msg->ballot > my_last_ballot_) {
-    my_last_ballot_ = msg->ballot;
-    if (durable_ != nullptr) durable_->my_last_ballot = my_last_ballot_;
+  if (msg->ballot.zone == my_zone_) {
+    durable_->my_last_ballot = std::max(durable_->my_last_ballot, msg->ballot);
   }
   ZoneId cross_chain_id =
       my_zone_ + static_cast<ZoneId>(topology_->num_zones());
-  if (msg->ballot.zone == cross_chain_id &&
-      msg->ballot > my_last_cross_ballot_) {
-    my_last_cross_ballot_ = msg->ballot;
-    if (durable_ != nullptr) {
-      durable_->my_last_cross_ballot = my_last_cross_ballot_;
-    }
+  if (msg->ballot.zone == cross_chain_id) {
+    durable_->my_last_cross_ballot =
+        std::max(durable_->my_last_cross_ballot, msg->ballot);
   }
 
   if (msg->cross_cluster) {
@@ -948,7 +937,7 @@ void DataSyncEngine::MaybeExecute(std::uint64_t request_id) {
   RequestState& req = it->second;
   if (req.executed || req.commit_msg == nullptr) return;
   if (req.exec_prev == kNullBallot ||
-      executed_ballots_.count(req.exec_prev) > 0) {
+      durable_->executed_ballots.count(req.exec_prev) > 0) {
     ExecuteCommit(req);
     return;
   }
@@ -961,11 +950,10 @@ void DataSyncEngine::MaybeExecute(std::uint64_t request_id) {
 void DataSyncEngine::ExecuteCommit(RequestState& req) {
   if (req.executed) return;
   req.executed = true;
+  SyncDurableState& d = *durable_;
   for (const MigrationOp& op : req.ops) {
-    std::uint64_t op_id = op.RequestId();
-    if (!executed_op_ids_.insert(op_id).second) continue;  // re-led twin
-    if (durable_ != nullptr) durable_->executed_op_ids.insert(op_id);
-    executed_count_++;
+    // A re-led twin of an already executed op is skipped.
+    if (!d.executed_op_ids.insert(op.RequestId()).second) continue;
     transport_->ChargeCpu(config_.costs.apply_us);
     std::string result;
     if (op.IsMigration()) {
@@ -979,19 +967,13 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
       executed_callback_(op, req.exec_ballot, req.initiator_zone, result);
     }
   }
-  executed_ballots_.insert(req.exec_ballot);
+  d.executed_ballots.insert(req.exec_ballot);
   Hasher digest(0xe4ec);
   digest.Add(req.id);
   for (const MigrationOp& op : req.ops) digest.Add(op.RequestId());
-  executed_digests_[req.exec_ballot] = digest.Finish();
-  Ballot& chain = chain_executed_[req.exec_ballot.zone];
-  if (req.exec_ballot > chain) chain = req.exec_ballot;
-  if (durable_ != nullptr) {
-    durable_->executed_ballots.insert(req.exec_ballot);
-    durable_->executed_digests[req.exec_ballot] =
-        executed_digests_[req.exec_ballot];
-    durable_->chain_executed[req.exec_ballot.zone] = chain;
-  }
+  d.executed_digests[req.exec_ballot] = digest.Finish();
+  Ballot& chain = d.chain_executed[req.exec_ballot.zone];
+  chain = std::max(chain, req.exec_ballot);
   FlushWaiters(req.exec_ballot);
   if (config_.compact_decided) {
     decided_order_.push_back(req.id);
@@ -1037,9 +1019,9 @@ DataSyncEngine::RetentionStats DataSyncEngine::retention() const {
                       (req.sent_accept != nullptr ? 96 : 0) +
                       (req.prepared != nullptr ? 96 : 0);
   }
-  r.approx_bytes += executed_ballots_.size() * 24 +
-                    executed_digests_.size() * 32 +
-                    executed_op_ids_.size() * 16;
+  r.approx_bytes += durable_->executed_ballots.size() * 24 +
+                    durable_->executed_digests.size() * 32 +
+                    durable_->executed_op_ids.size() * 16;
   return r;
 }
 
@@ -1175,7 +1157,9 @@ void DataSyncEngine::OnViewChange(ViewId view) {
     pending_ops_.clear();
     queued_op_ids_.clear();
     for (const auto& op : backlog) {
-      if (executed_op_ids_.count(op.RequestId()) == 0) QueueOrLead(op);
+      if (durable_->executed_op_ids.count(op.RequestId()) == 0) {
+        QueueOrLead(op);
+      }
     }
     FlushBatch();
   }
@@ -1224,25 +1208,14 @@ void DataSyncEngine::DumpStuckRequests(std::FILE* out) const {
 }
 
 void DataSyncEngine::RestoreFromDurable() {
-  if (durable_ == nullptr) return;
-  // Scalar ballot bookkeeping: the floors NextBallot and the promise /
-  // accept rules climb from. Restoring them is what prevents a recovered
-  // replica from re-issuing or re-voting a ballot it already used.
-  highest_n_seen_ = durable_->highest_n_seen;
-  last_accepted_ballot_ = durable_->last_accepted_ballot;
-  my_last_ballot_ = durable_->my_last_ballot;
-  my_last_cross_ballot_ = durable_->my_last_cross_ballot;
-  // Execution bookkeeping: already-executed ballots and ops stay executed,
-  // so re-delivered commits (peer retransmissions, response-query answers)
-  // dedup instead of double-applying migrations.
-  chain_executed_ = durable_->chain_executed;
-  executed_ballots_ = durable_->executed_ballots;
-  executed_digests_ = durable_->executed_digests;
-  executed_op_ids_ = durable_->executed_op_ids;
-  executed_count_ = durable_->executed_op_ids.size();
-  // Per-request promise bounds. Pre-create the request entry with only the
-  // bound set: HandlePropose tolerates such stubs (it fills `ops` when
-  // empty) and its promise rule then compares against the restored bound.
+  // Ballot floors and execution bookkeeping need no restore: the engine
+  // reads them from the durable slice, so a recovered replica neither
+  // re-issues nor re-votes a ballot it used, and re-delivered commits
+  // (peer retransmissions, response-query answers) dedup instead of
+  // double-applying migrations. Per-request promise bounds live on the
+  // volatile request entries: pre-create each with only the bound set.
+  // HandlePropose tolerates such stubs (it fills `ops` when empty) and its
+  // promise rule then compares against the restored bound.
   for (const auto& [id, ballot] : durable_->promised) {
     RequestState& req = requests_[id];
     req.id = id;

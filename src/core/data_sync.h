@@ -132,7 +132,9 @@ class DataSyncEngine {
 
   // ---- Introspection (tests / stats) ----------------------------------
   std::uint64_t committed_count() const { return committed_count_; }
-  std::uint64_t executed_count() const { return executed_count_; }
+  std::uint64_t executed_count() const {
+    return durable_->executed_op_ids.size();
+  }
   Ballot last_executed_ballot(ZoneId initiator) const;
   const GlobalMetadata& metadata() const { return *metadata_; }
 
@@ -141,16 +143,19 @@ class DataSyncEngine {
   /// nodes executing different requests under one ballot is a global
   /// safety violation.
   const std::map<Ballot, std::uint64_t>& executed_digests() const {
-    return executed_digests_;
+    return durable_->executed_digests;
   }
 
   // ---- Durability (amnesia crash recovery) ----------------------------
-  /// Attaches the durable write-through target. Ballot promises, accepted
-  /// ballots and execution bookkeeping are mirrored into `d` as they
-  /// change, so a restarted replica can never double-vote a global ballot.
+  /// Runs the engine on `d` (not owned), a store that outlives the engine
+  /// across an amnesia crash. Ballot floors, accepted ballots and execution
+  /// bookkeeping live only there, and promises are recorded there before
+  /// they leave the zone, so a restarted replica can never double-vote a
+  /// global ballot. Until this is called the engine runs on a private store
+  /// that dies with it.
   void set_durable(SyncDurableState* d) { durable_ = d; }
-  /// Rebuilds the forget-proof slice from durable state: scalar ballot
-  /// bookkeeping plus promise bounds on (pre-created) request entries.
+  /// Re-creates the per-request promise bounds from the durable promises
+  /// (as request stubs); everything else the engine reads from the store.
   void RestoreFromDurable();
   /// The live promise bound for a request (kNullBallot when none). The
   /// recovery invariant compares this against the durable promise: a
@@ -307,7 +312,10 @@ class DataSyncEngine {
   LockTable* locks_;
   ZoneEndorser* endorser_;
   SyncConfig config_;
-  SyncDurableState* durable_ = nullptr;
+  // Ballot and execution bookkeeping (see core/durable.h): the node's
+  // store, or own_durable_ when the host attaches none. Never null.
+  SyncDurableState own_durable_;
+  SyncDurableState* durable_ = &own_durable_;
   ExecutedCallback executed_callback_;
   SuspectPrimaryCallback suspect_primary_callback_;
   GlobalApplyCallback global_apply_callback_;
@@ -320,32 +328,16 @@ class DataSyncEngine {
   // (the batch timer, not the request handler, often forms the batch).
   std::unordered_map<std::uint64_t, obs::TraceContext> pending_traces_;
   bool batch_timer_armed_ = false;
-  /// Per-operation execution dedup (re-led instances, chain skips).
-  std::unordered_set<std::uint64_t> executed_op_ids_;
   /// Execution order of decided requests, oldest first; the compaction
   /// window slides over it.
   std::deque<std::uint64_t> decided_order_;
 
-  std::uint64_t highest_n_seen_ = 0;
-  Ballot my_last_ballot_ = kNullBallot;
-  /// Cross-cluster requests chain separately (virtual chain id
-  /// my_zone + num_zones), so a slow two-cluster commit never stalls the
-  /// intra-cluster pipeline behind it. Global operations commute across
-  /// chains; per-client ordering is enforced by the migration lock.
-  Ballot my_last_cross_ballot_ = kNullBallot;
-  /// Latest migration ballot accepted by this zone (the <l, z_l> carried in
-  /// promise messages).
-  Ballot last_accepted_ballot_ = kNullBallot;
-  std::map<ZoneId, Ballot> chain_executed_;
-  std::set<Ballot> executed_ballots_;
-  std::map<Ballot, std::uint64_t> executed_digests_;
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
   std::map<std::uint64_t, std::uint64_t> relay_watch_;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, int>> timers_;
   std::uint64_t next_timer_token_ = 1;
 
   std::uint64_t committed_count_ = 0;
-  std::uint64_t executed_count_ = 0;
 };
 
 }  // namespace ziziphus::core

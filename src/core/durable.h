@@ -17,21 +17,29 @@ namespace ziziphus::core {
 /// Durable slice of the data-synchronization engine — the ballot
 /// bookkeeping a restarted zone replica must never forget (Section V's
 /// failure handling assumes promises survive restarts; forgetting one would
-/// let the replica double-vote a global ballot).
+/// let the replica double-vote a global ballot). The engine keeps these
+/// fields only here and reads and writes them in place.
 struct SyncDurableState {
-  /// Per-request promise bound (zone-primary path of HandlePropose).
+  /// Per-request promise bound (zone-primary path of HandlePropose). The
+  /// engine's live bound sits on its volatile request entry; recovery
+  /// re-creates that entry from this record.
   std::map<std::uint64_t, Ballot> promised;
   /// Latest migration ballot accepted by this zone (carried in promises).
   Ballot last_accepted_ballot = kNullBallot;
   /// Ballot-number floor: NextBallot must climb strictly above everything
   /// this node ever saw or issued, across restarts.
   std::uint64_t highest_n_seen = 0;
+  /// Tail of this zone's own ballot chain, and of its cross-cluster chain
+  /// (virtual chain id my_zone + num_zones, so a slow two-cluster commit
+  /// never stalls the intra-cluster pipeline behind it). Global operations
+  /// commute across chains; per-client ordering is enforced by the
+  /// migration lock.
   Ballot my_last_ballot = kNullBallot;
   Ballot my_last_cross_ballot = kNullBallot;
   /// Execution bookkeeping: which ballots ran and what they executed, so a
   /// recovered node neither re-executes a migration nor breaks the
   /// per-chain execution order. `executed_op_ids` is only probed and
-  /// sized, so it is hashed like its live twin.
+  /// sized (its size is the engine's executed-op count), so it is hashed.
   std::map<ZoneId, Ballot> chain_executed;
   std::set<Ballot> executed_ballots;
   std::map<Ballot, std::uint64_t> executed_digests;
@@ -56,10 +64,11 @@ struct MigrationDurableState {
 
 /// Everything one ZiziphusNode persists across an amnesia crash — what its
 /// storage layer would hold on disk. Owned by the node object (which
-/// survives the crash; only the engines are rebuilt) and handed to each
-/// engine as a write-through target. GlobalMetadata, the lock table and the
-/// bootstrap-provisioned records are also treated as durable but live on
-/// the node directly; see DESIGN.md's durable-vs-volatile table.
+/// survives the crash; only the engines are rebuilt); each engine runs on
+/// its slice in place, so nothing is copied on the way in or back out.
+/// GlobalMetadata, the lock table and the bootstrap-provisioned records are
+/// also treated as durable but live on the node directly; see DESIGN.md's
+/// durable-vs-volatile table.
 struct DurableStore {
   pbft::DurableState pbft;
   SyncDurableState sync;

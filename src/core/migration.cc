@@ -50,8 +50,7 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
   MigState& st = states_[id];
   st.op = op;
   st.ballot = ballot;
-  if (durable_ != nullptr &&
-      (my_zone_ == op.source || my_zone_ == op.destination)) {
+  if (my_zone_ == op.source || my_zone_ == op.destination) {
     // Progress marker: an amnesiac participant must remember it was part of
     // this migration to resume (destination) or keep answering queries
     // (source) after restart.
@@ -327,12 +326,10 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->records_digest = st.records_digest;
       msg->cert = cert;
       st.state_msg = msg;
-      if (durable_ != nullptr) {
-        auto& marker = durable_->in_flight[key.request_id];
-        marker.op = st.op;
-        marker.ballot = st.ballot;
-        marker.state_msg = msg;
-      }
+      auto& marker = durable_->in_flight[key.request_id];
+      marker.op = st.op;
+      marker.ballot = st.ballot;
+      marker.state_msg = msg;
       if (endorser_->IsPrimary()) ShipState(st);
       transport_->EndSpan(st.source_span);  // record read -> STATE shipped
       st.source_span = 0;
@@ -343,13 +340,11 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
       if (st.appended) break;
       st.appended = true;
       completed_++;
-      if (durable_ != nullptr) {
-        auto& marker = durable_->in_flight[key.request_id];
-        marker.op = st.op;
-        marker.ballot = st.ballot;
-        marker.appended = true;
-        marker.records = st.records;
-      }
+      auto& marker = durable_->in_flight[key.request_id];
+      marker.op = st.op;
+      marker.ballot = st.ballot;
+      marker.appended = true;
+      marker.records = st.records;
       transport_->ChargeCpu(config_.costs.apply_us);
       if (installer_ != nullptr) {
         installer_(st.op.client, st.records, st.op.timestamp);
@@ -515,7 +510,6 @@ void MigrationEngine::DumpStuckStates(std::FILE* out) const {
 // -------------------------------------------------------------- recovery
 
 void MigrationEngine::RestoreFromDurable() {
-  if (durable_ == nullptr) return;
   for (const auto& [id, marker] : durable_->in_flight) {
     MigState& st = states_[id];
     st.op = marker.op;

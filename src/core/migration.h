@@ -98,8 +98,11 @@ class MigrationEngine {
   std::uint64_t migrations_completed() const { return completed_; }
 
   // ---- Durability (amnesia crash recovery) ----------------------------
-  /// Attaches the durable write-through target for migration progress
-  /// markers (Algorithm 2 sub-transactions in flight).
+  /// Records migration progress markers (Algorithm 2 sub-transactions in
+  /// flight) in `d` (not owned), a store that outlives the engine across an
+  /// amnesia crash. The markers stay separate from the volatile per-
+  /// migration state: they keep only what a restart must resume from.
+  /// Until this is called the engine records them in a private store.
   void set_durable(MigrationDurableState* d) { durable_ = d; }
   /// Resumes in-flight migrations from durable markers: the destination
   /// re-arms its STATE-wait probe (or re-installs already-appended
@@ -152,7 +155,9 @@ class MigrationEngine {
   LockTable* locks_;
   ZoneEndorser* endorser_;
   MigrationConfig config_;
-  MigrationDurableState* durable_ = nullptr;
+  // The node's store, or own_durable_ when the host attaches none.
+  MigrationDurableState own_durable_;
+  MigrationDurableState* durable_ = &own_durable_;
   StateProvider provider_;
   StateInstaller installer_;
   DoneCallback done_;

@@ -67,9 +67,9 @@ void ZiziphusNode::BuildEngines() {
                                            config_.sync.costs);
 
   // ---- durability wiring ----------------------------------------------
-  // Every engine mirrors its forget-proof slice into the node-owned
-  // durable store as it changes (see DESIGN.md's durable-vs-volatile
-  // table); OnAmnesiaRecover restores from it.
+  // Every engine keeps its forget-proof slice in the node-owned durable
+  // store, which outlives the engines (see DESIGN.md's durable-vs-volatile
+  // table); OnAmnesiaRecover rebuilds volatile state from it.
   pbft_->set_durable(&durable_.pbft);
   sync_->set_durable(&durable_.sync);
   migration_->set_durable(&durable_.migration);
@@ -280,10 +280,11 @@ void ZiziphusNode::OnAmnesiaRecover() {
     app_->InstallClientRecords(client, records);
   }
 
-  // Restore each engine's forget-proof slice. PBFT installs the stable
-  // checkpoint and replays the WAL; data sync restores ballot promises and
-  // execution bookkeeping; migration resumes in-flight transfers (after
-  // PBFT, so the checkpoint install cannot clobber re-installed records).
+  // Rebuild each engine's volatile state from its durable slice. PBFT
+  // installs the stable checkpoint and replays the WAL; data sync
+  // re-creates its per-request promise bounds; migration resumes in-flight
+  // transfers (after PBFT, so the checkpoint install cannot clobber
+  // re-installed records).
   pbft_->RestoreFromDurable();
   sync_->RestoreFromDurable();
   migration_->RestoreFromDurable();

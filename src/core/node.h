@@ -145,8 +145,10 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
   // ---- Crash recovery --------------------------------------------------
   /// How many amnesia recoveries this node has been through.
   std::uint64_t recoveries() const { return recoveries_; }
-  /// The node's durable store (what survives an amnesia crash). Exposed so
-  /// the invariant checker can compare live engine state against it.
+  /// The node's durable store (what survives an amnesia crash), which the
+  /// engines run on. Exposed so the invariant checker can audit the durable
+  /// WAL and hold the live per-request promise bounds to the persisted
+  /// promises.
   const DurableStore& durable() const { return durable_; }
 
  protected:

@@ -105,12 +105,6 @@ struct PbftConfig {
   /// Cap on the adaptive progress timeout. 0 = 2 * request_timeout_us.
   Duration adaptive_timeout_cap_us = 0;
 
-  /// Fast-path abandon timeout before the commit-latency EWMA has a
-  /// sample. The unanimity wait is one intra-zone round, so it is scaled
-  /// to the message round-trip regime, not the (possibly geo-scale)
-  /// request_timeout_us. 0 = legacy request_timeout_us / 2.
-  Duration fast_abandon_cold_us = Millis(25);
-
   /// Fast-path hysteresis: after this many consecutive fallbacks, stop
   /// arming the optimistic round (vote a classic Prepare immediately) and
   /// only re-probe unanimity every fast_reprobe_slots sequence numbers.

@@ -242,10 +242,9 @@ void PbftEngine::HandleReadRequest(
   reply->nonce = msg->nonce;
   reply->replica = transport_->self();
   reply->key = msg->key;
-  const storage::Checkpoint& cp = last_stable_checkpoint_;
+  const storage::Checkpoint& cp = durable_->stable_checkpoint;
   RequestTimestamp covered = 0;
-  if (auto it = checkpoint_client_ts_.find(msg->client);
-      it != checkpoint_client_ts_.end()) {
+  if (auto it = cp.coverage.find(msg->client); it != cp.coverage.end()) {
     covered = it->second;
   }
   // A read is served only from a certified stable checkpoint that satisfies
@@ -412,15 +411,12 @@ void PbftEngine::HandlePrePrepare(
     // only has to release the held-back Commit round. The abandon timer
     // bounds how long unanimity is awaited.
     slot.fast_eligible = true;
-    // Record the vote where view changes can find it (and durably — see
+    // Record the vote durably, where view changes find it (see
     // DurableState::fast_votes): if the zone fast-commits this digest, the
     // f+1-of-quorum reporting rule in MaybeSendNewView is what keeps the
     // committed slot from being no-op-filled in the next view.
-    fast_voted_[msg->seq] =
+    durable_->fast_votes[msg->seq] =
         PreparedProof{msg->view, msg->seq, msg->batch_digest, msg->batch};
-    if (durable_ != nullptr) {
-      durable_->fast_votes[msg->seq] = fast_voted_[msg->seq];
-    }
     auto vote = std::make_shared<FastVoteMsg>();
     vote->view = msg->view;
     vote->seq = msg->seq;
@@ -512,12 +508,9 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   transport_->EndSpan(slot.prepare_span);
   slot.prepare_span = 0;
   slot.commit_span = transport_->BeginSpan(obs::SpanKind::kPbftCommitPhase);
-  prepared_proofs_[seq] =
+  durable_->prepared_proofs[seq] =
       PreparedProof{slot.pre_prepare->view, seq,
                     slot.pre_prepare->batch_digest, slot.pre_prepare->batch};
-  if (durable_ != nullptr) {
-    durable_->prepared_proofs[seq] = prepared_proofs_[seq];
-  }
   if (slot.fast_eligible && !slot.fast_fallback) {
     // Fast path in flight: the slot is prepared (durable proof recorded,
     // view-change safety identical to the classic path) but the Commit
@@ -723,9 +716,7 @@ void PbftEngine::ExecuteReady() {
     storage::LogEntry entry{
         seq, slot.pre_prepare->batch_digest,
         "batch:" + std::to_string(slot.pre_prepare->batch.ops.size())};
-    if (durable_ != nullptr && durable_->wal.last_seq() < seq) {
-      durable_->wal.Append(entry);
-    }
+    if (durable_->wal.last_seq() < seq) durable_->wal.Append(entry);
     commit_log_.Append(std::move(entry));
     last_executed_ = seq;
     progressed = true;
@@ -769,9 +760,6 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
   if (op.client != kInvalidClient) {
     RequestTimestamp& covered = read_covered_ts_[op.client];
     covered = std::max(covered, op.timestamp);
-  }
-  if (durable_ != nullptr && op.client != kInvalidClient) {
-    durable_->client_ts[op.client] = op.timestamp;
   }
   if (send_replies_ && op.client != kInvalidClient) {
     auto reply = std::make_shared<ClientReplyMsg>();
@@ -896,23 +884,25 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
                                PendingCheckpoint&& materials) {
   if (seq <= stable_seq_) return;
   stable_seq_ = seq;
-  last_stable_checkpoint_.seq = seq;
-  last_stable_checkpoint_.state_digest = materials.state_digest;
-  last_stable_checkpoint_.snapshot = std::move(materials.snapshot);
-  last_stable_checkpoint_.read_root = materials.tree.root();
-  last_stable_checkpoint_.coverage = materials.coverage;
-  last_stable_checkpoint_.certificate = cert;
+  storage::Checkpoint& cp = durable_->stable_checkpoint;
+  cp.seq = seq;
+  cp.state_digest = materials.state_digest;
+  cp.snapshot = std::move(materials.snapshot);
+  cp.read_root = materials.tree.root();
+  cp.coverage = std::move(materials.coverage);
+  cp.certificate = cert;
   read_tree_ = std::move(materials.tree);
   pending_checkpoints_.erase(pending_checkpoints_.begin(),
                              pending_checkpoints_.upper_bound(seq));
   // The read fast path may now truthfully advertise exactly the coverage
-  // and causal dependency vector bound into the certified checkpoint.
-  checkpoint_client_ts_ = std::move(materials.coverage);
+  // (cp.coverage) and causal dependency vector bound into the certified
+  // checkpoint.
   checkpoint_deps_ = merged_deps_;
-  // Garbage-collect the log below the low-water mark, and evict cached
-  // replies superseded by the checkpointed client table. Gated so the soak
-  // benchmark can run a no-trim control arm; the durable checkpoint and
-  // client table always advance regardless (correctness, not retention).
+  // Garbage-collect the logs, proofs and votes below the low-water mark, and
+  // evict cached replies superseded by the checkpointed client table. Gated
+  // so the soak benchmark can run a no-trim control arm; the checkpoint and
+  // the durable client table always advance regardless (correctness, not
+  // retention).
   if (config_.trim_at_checkpoint) {
     for (auto sit = slots_.begin();
          sit != slots_.end() && sit->first <= seq; ++sit) {
@@ -921,12 +911,15 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
     slots_.erase(slots_.begin(), slots_.upper_bound(seq));
     fast_certified_.erase(fast_certified_.begin(),
                           fast_certified_.upper_bound(seq));
-    prepared_proofs_.erase(prepared_proofs_.begin(),
-                           prepared_proofs_.upper_bound(seq));
-    fast_voted_.erase(fast_voted_.begin(), fast_voted_.upper_bound(seq));
+    durable_->prepared_proofs.erase(
+        durable_->prepared_proofs.begin(),
+        durable_->prepared_proofs.upper_bound(seq));
+    durable_->fast_votes.erase(durable_->fast_votes.begin(),
+                               durable_->fast_votes.upper_bound(seq));
     checkpoint_votes_.erase(checkpoint_votes_.begin(),
                             checkpoint_votes_.upper_bound(seq));
     commit_log_.TruncatePrefix(seq);
+    durable_->wal.TruncatePrefix(seq);
     for (auto& [client, cs] : clients_) {
       if (cs.last_reply != nullptr && cs.last_reply_seq <= seq) {
         cs.last_reply.reset();
@@ -935,29 +928,15 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
     }
     transport_->counters().Inc(obs::CounterId::kPbftLogTrims);
   }
-  if (durable_ != nullptr) {
-    durable_->stable_checkpoint = last_stable_checkpoint_;
-    if (config_.trim_at_checkpoint) {
-      durable_->wal.TruncatePrefix(seq);
-      durable_->prepared_proofs.erase(
-          durable_->prepared_proofs.begin(),
-          durable_->prepared_proofs.upper_bound(seq));
-      durable_->fast_votes.erase(durable_->fast_votes.begin(),
-                                 durable_->fast_votes.upper_bound(seq));
-    }
-    durable_->checkpoint_client_ts.clear();
-    for (const auto& [client, cs] : clients_) {
-      if (client != kInvalidClient) {
-        durable_->checkpoint_client_ts.emplace_hint(
-            durable_->checkpoint_client_ts.end(), client,
-            cs.last_executed_ts);
-      }
+  durable_->checkpoint_client_ts.clear();
+  for (const auto& [client, cs] : clients_) {
+    if (client != kInvalidClient) {
+      durable_->checkpoint_client_ts.emplace_hint(
+          durable_->checkpoint_client_ts.end(), client, cs.last_executed_ts);
     }
   }
   transport_->counters().Inc(obs::CounterId::kPbftStableCheckpoints);
-  if (stable_checkpoint_callback_) {
-    stable_checkpoint_callback_(last_stable_checkpoint_);
-  }
+  if (stable_checkpoint_callback_) stable_checkpoint_callback_(cp);
   // Rotating ordering: hand the primary role to the next replica at
   // checkpoint-window boundaries. Riding the view-change machinery keeps
   // rotation safety-free-of-charge (prepared certificates carry over), and
@@ -1104,9 +1083,9 @@ void PbftEngine::HandleStateRequest(
                   msg->have_seq <= last_executed_;
   if (delta_ok) {
     for (SeqNum s = msg->have_seq + 1; s <= last_executed_; ++s) {
-      auto pit = prepared_proofs_.find(s);
+      auto pit = durable_->prepared_proofs.find(s);
       std::optional<storage::LogEntry> logged = commit_log_.Find(s);
-      if (pit == prepared_proofs_.end() || !logged.has_value() ||
+      if (pit == durable_->prepared_proofs.end() || !logged.has_value() ||
           pit->second.batch_digest != logged->digest) {
         delta_ok = false;
         resp->delta.clear();
@@ -1191,10 +1170,7 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
     slots_.erase(slots_.begin(), slots_.upper_bound(stable_seq_));
     fast_certified_.erase(fast_certified_.begin(),
                           fast_certified_.upper_bound(stable_seq_));
-    prepared_proofs_.erase(prepared_proofs_.begin(),
-                           prepared_proofs_.upper_bound(stable_seq_));
-    fast_voted_.erase(fast_voted_.begin(),
-                      fast_voted_.upper_bound(stable_seq_));
+    installed_seq_ = stable_seq_;  // proofs and votes: see installed_seq_
   }
   // Adopt the responder's client table (max-merge) so a recovered replica
   // does not re-apply requests executed during its outage.
@@ -1204,10 +1180,6 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
     if (ts > cs.last_executed_ts) cs.last_executed_ts = ts;
     RequestTimestamp& covered = read_covered_ts_[client];
     covered = std::max(covered, ts);
-    if (durable_ != nullptr) {
-      RequestTimestamp& d = durable_->client_ts[client];
-      if (ts > d) d = ts;
-    }
   }
   pending_transfer_seq_ = 0;
   pending_transfer_digest_ = 0;
@@ -1278,10 +1250,6 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
       });
       ClientState& cs = clients_[op->client];
       cs.last_executed_ts = std::max(cs.last_executed_ts, op->timestamp);
-      if (durable_ != nullptr && op->client != kInvalidClient) {
-        RequestTimestamp& d = durable_->client_ts[op->client];
-        d = std::max(d, op->timestamp);
-      }
       if (send_replies_ && op->client != kInvalidClient) {
         auto reply = std::make_shared<ClientReplyMsg>();
         reply->view = view_;
@@ -1300,9 +1268,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
     storage::LogEntry entry{
         st.seq, st.entry->batch_digest,
         "batch:" + std::to_string(st.entry->batch.ops.size())};
-    if (durable_ != nullptr && durable_->wal.last_seq() < st.seq) {
-      durable_->wal.Append(entry);
-    }
+    if (durable_->wal.last_seq() < st.seq) durable_->wal.Append(entry);
     commit_log_.Append(std::move(entry));
     last_executed_ = st.seq;
     auto sit = slots_.find(st.seq);
@@ -1355,17 +1321,17 @@ void PbftEngine::StartViewChange(ViewId new_view) {
   auto msg = std::make_shared<ViewChangeMsg>();
   msg->new_view = new_view;
   msg->stable_seq = stable_seq_;
-  for (const auto& [seq, proof] : prepared_proofs_) {
-    if (seq <= stable_seq_) continue;
-    msg->prepared.push_back(proof);
+  for (auto it = durable_->prepared_proofs.upper_bound(stable_seq_);
+       it != durable_->prepared_proofs.end(); ++it) {
+    msg->prepared.push_back(it->second);
   }
   // Carry every fast vote cast above the stable checkpoint: if any replica
   // fast-committed one of these slots, all honest replicas voted its digest
   // and >= f+1 of them land in whatever quorum forms the next view, which
   // is what lets the new primary repropose the committed batch.
-  for (const auto& [seq, vote] : fast_voted_) {
-    if (seq <= stable_seq_) continue;
-    msg->fast_votes.push_back(vote);
+  for (auto it = durable_->fast_votes.upper_bound(stable_seq_);
+       it != durable_->fast_votes.end(); ++it) {
+    msg->fast_votes.push_back(it->second);
   }
   msg->replica = transport_->self();
   msg->sig = keys_->Sign(transport_->self(), msg->digest());
@@ -1551,7 +1517,7 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
   view_ = msg->new_view;
   view_active_ = true;
   view_change_attempts_ = 0;
-  if (durable_ != nullptr) durable_->view = view_;
+  durable_->view = view_;
   last_new_view_ = msg;
   if (view_change_started_at_ != 0) {
     transport_->recorder().Record(
@@ -1670,7 +1636,6 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
 // ---------------------------------------------------------------- recovery
 
 void PbftEngine::RestoreFromDurable() {
-  if (durable_ == nullptr) return;
   view_ = durable_->view;
   // Treat the restored view as active: if it was never installed anywhere
   // the progress timer (re-armed by the host) escalates to a view change;
@@ -1681,17 +1646,13 @@ void PbftEngine::RestoreFromDurable() {
     state_machine_->Restore(cp.snapshot);
     stable_seq_ = cp.seq;
     last_executed_ = cp.seq;
-    last_stable_checkpoint_ = cp;
   }
-  prepared_proofs_ = durable_->prepared_proofs;
-  // Restore cast fast votes: an amnesiac that forgot a vote could drop a
-  // fast-committed digest below the f+1 view-change reporting threshold.
-  fast_voted_ = durable_->fast_votes;
-  // Seed the client table as of the checkpoint; replay rebuilds it forward
-  // so per-op duplicate decisions replay exactly as they first ran.
+  // Prepared proofs and cast fast votes need no restore: the engine reads
+  // them from the durable slice. Seed the client table as of the
+  // checkpoint; replay rebuilds it forward so per-op duplicate decisions
+  // replay exactly as they first ran.
   clients_.clear();
   read_covered_ts_.clear();
-  checkpoint_client_ts_.clear();
   for (const auto& [client, ts] : durable_->checkpoint_client_ts) {
     clients_[client].last_executed_ts = ts;
     read_covered_ts_[client] = ts;
@@ -1703,7 +1664,6 @@ void PbftEngine::RestoreFromDurable() {
     // If the rebuilt root disagrees with the certified one (corrupt durable
     // state), HandleReadRequest's root guard answers `behind` rather than
     // serving unprovable replies.
-    checkpoint_client_ts_ = cp.coverage;
     for (const auto& [client, ts] : cp.coverage) {
       RequestTimestamp& covered = read_covered_ts_[client];
       covered = std::max(covered, ts);
@@ -1741,16 +1701,6 @@ void PbftEngine::RestoreFromDurable() {
     last_executed_ = entry.seq;
   }
   next_seq_ = std::max(stable_seq_, last_executed_);
-  // The durable client table may run ahead of the replayable prefix (a gap
-  // dropped the tail); rewrite it from the reconstructed one so the table
-  // never claims executions the state machine does not hold. The dropped
-  // suffix is re-learned when state transfer installs a peer's table.
-  durable_->client_ts.clear();
-  for (const auto& [client, cs] : clients_) {
-    if (client != kInvalidClient) {
-      durable_->client_ts[client] = cs.last_executed_ts;
-    }
-  }
 }
 
 // --------------------------------------------------------------- retention
@@ -1761,16 +1711,17 @@ PbftEngine::RetentionStats PbftEngine::retention() const {
   for (const auto& e : commit_log_.entries()) {
     r.commit_log_bytes += 24 + e.description.size();
   }
-  r.prepared_proofs = prepared_proofs_.size();
-  for (const auto& [seq, proof] : prepared_proofs_) {
-    r.prepared_proof_bytes += 32 + proof.batch.WireSizeBytes();
+  for (auto it = durable_->prepared_proofs.upper_bound(installed_seq_);
+       it != durable_->prepared_proofs.end(); ++it) {
+    ++r.prepared_proofs;
+    r.prepared_proof_bytes += 32 + it->second.batch.WireSizeBytes();
   }
   r.slots = slots_.size();
   r.client_table_entries = clients_.size();
   for (const auto& [client, cs] : clients_) {
     if (cs.last_reply != nullptr) ++r.reply_cache_entries;
   }
-  r.wal_entries = durable_ != nullptr ? durable_->wal.size() : 0;
+  r.wal_entries = durable_->wal.size();
   return r;
 }
 

@@ -98,7 +98,7 @@ class PbftEngine {
 
   /// Last stable checkpoint with its 2f+1 certificate (lazy sync source).
   const storage::Checkpoint& last_stable_checkpoint() const {
-    return last_stable_checkpoint_;
+    return durable_->stable_checkpoint;
   }
 
   void set_executed_callback(ExecutedCallback cb) {
@@ -139,17 +139,18 @@ class PbftEngine {
                                        std::uint64_t attempt, NodeId replica,
                                        SeqNum seq);
 
-  /// Attaches the durable slice of this replica (not owned; may be null =
-  /// nothing persists). Write-through: the engine mirrors its stable
-  /// checkpoint, WAL, prepared proofs, view and client table into it as
-  /// they change.
+  /// Runs the engine on `durable` (not owned), a store that outlives the
+  /// engine across an amnesia crash. The engine keeps its stable checkpoint,
+  /// WAL, prepared proofs and cast fast votes only there, and records its
+  /// formed view and checkpointed client table there. Until this is called
+  /// the engine runs on a private store that dies with it.
   void set_durable(DurableState* durable) { durable_ = durable; }
 
-  /// Rebuilds volatile state from the attached durable slice after an
-  /// amnesia crash: installs the stable checkpoint, replays the WAL
-  /// (re-applying each entry's batch from its prepared proof), restores the
-  /// view and client table. The host then arms timers and starts catch-up
-  /// via state transfer. No-op without a durable slice.
+  /// Rebuilds volatile state from the durable slice after an amnesia crash:
+  /// installs the stable checkpoint, rebuilds the client table and read
+  /// tree, replays the WAL (re-applying each entry's batch from its
+  /// prepared proof) and restores the view. The host then arms timers and
+  /// starts catch-up via state transfer.
   void RestoreFromDurable();
 
   /// Starts catch-up toward `seq` with an unknown digest (multicast
@@ -186,7 +187,7 @@ class PbftEngine {
     std::size_t slots = 0;
     std::size_t reply_cache_entries = 0;
     std::size_t client_table_entries = 0;
-    std::size_t wal_entries = 0;  // durable WAL (0 when nothing persists)
+    std::size_t wal_entries = 0;
 
     /// Rough retained-bytes estimate with fixed per-entry overheads; only
     /// the curve shape matters, not the absolute calibration.
@@ -348,15 +349,17 @@ class PbftEngine {
   // span.view_change_us histogram when the new view is installed.
   SimTime view_change_started_at_ = 0;
 
-  // Checkpointing.
+  // Checkpointing. The stable checkpoint itself lives in the durable slice.
   std::map<SeqNum, std::map<NodeId, std::shared_ptr<const CheckpointMsg>>>
       checkpoint_votes_;
-  storage::Checkpoint last_stable_checkpoint_;
+  // Executed entries above the stable checkpoint. Unlike the durable WAL it
+  // restarts at the replayed prefix after a crash: a gap stops WAL replay,
+  // and entries past the gap stay in the WAL but not here.
   storage::CommitLog commit_log_;
   // Vote-time frozen materials per checkpoint seq (see PendingCheckpoint);
   // entries at or below the stable point are erased on advance.
   std::map<SeqNum, PendingCheckpoint> pending_checkpoints_;
-  // Read tree of last_stable_checkpoint_, used to cut Merkle paths when
+  // Read tree of the stable checkpoint, used to cut Merkle paths when
   // serving fast-path reads. Rebuilt on restore; HandleReadRequest refuses
   // (behind) if its root ever disagrees with the certified one.
   crypto::MerkleTree read_tree_;
@@ -364,34 +367,19 @@ class PbftEngine {
   // Read fast path. read_covered_ts_ tracks, per client, the highest
   // timestamp whose effects are in the live state — fed by ExecuteOp and by
   // migration installs (NoteClientRecordInstall), which the PBFT client
-  // table alone cannot see. checkpoint_client_ts_ is its snapshot as of the
-  // last stable checkpoint: the read-your-writes coverage a read reply may
-  // truthfully claim. merged_deps_/checkpoint_deps_ are the causal-session
-  // dependency vector (max-merged writer floors), live and as-of-checkpoint.
+  // table alone cannot see. Its snapshot as of the last stable checkpoint is
+  // the checkpoint's coverage map: the read-your-writes coverage a read
+  // reply may truthfully claim. merged_deps_/checkpoint_deps_ are the
+  // causal-session dependency vector (max-merged writer floors), live and
+  // as-of-checkpoint.
   ClientTable<RequestTimestamp> read_covered_ts_;
-  std::map<ClientId, RequestTimestamp> checkpoint_client_ts_;
   std::map<ZoneId, SeqNum> merged_deps_;
   std::map<ZoneId, SeqNum> checkpoint_deps_;
 
-  // View change.
+  // View change. Prepared proofs and cast fast votes, which view-change
+  // messages carry, live in the durable slice.
   std::map<ViewId, std::map<NodeId, std::shared_ptr<const ViewChangeMsg>>>
       view_change_votes_;
-  // Prepared certificates that must survive view changes: once a slot
-  // prepares in some view, its proof stays eligible for inclusion in
-  // view-change messages until the slot is covered by a stable checkpoint.
-  // Slot state alone cannot serve this role — entering a new view resets
-  // `Slot::prepared` so the slot can re-run the prepare phase, and a second
-  // view change arriving before re-preparation completes would otherwise
-  // lose the certificate and let the new primary no-op-fill a sequence
-  // number that another replica already committed.
-  std::map<SeqNum, PreparedProof> prepared_proofs_;
-  // Fast votes this replica cast, keyed by slot (latest view wins). Like
-  // prepared_proofs_ these must outlive slot state: a fast-committed slot
-  // leaves no prepared certificate at 2f+1 replicas, so the unanimous votes
-  // themselves are what view-change messages carry to make the commit
-  // recoverable (>= f+1 of any 2f+1 quorum reports the committed digest).
-  // Trimmed at stable checkpoints, persisted write-through when durable.
-  std::map<SeqNum, PreparedProof> fast_voted_;
   std::uint64_t batch_timer_ = 0;
   std::uint64_t progress_timer_ = 0;
   std::uint64_t view_change_timer_ = 0;
@@ -448,8 +436,18 @@ class PbftEngine {
   // can adopt the view without waiting for the next view change.
   std::shared_ptr<const NewViewMsg> last_new_view_;
 
-  // Durable slice (see pbft/durable.h); null = nothing persists.
-  DurableState* durable_ = nullptr;
+  // Highest sequence a snapshot state transfer installed since this engine
+  // was built. The install trims nothing from the durable slice: proofs and
+  // votes at or below it wait for the next stable checkpoint, because a
+  // crash before then replays the WAL from the older durable checkpoint.
+  // Every reader already skips entries at or below stable_seq_;
+  // retention() skips those at or below this mark.
+  SeqNum installed_seq_ = 0;
+
+  // Durable slice (see pbft/durable.h): the node's store, or own_durable_
+  // when the host attaches none. Never null.
+  DurableState own_durable_;
+  DurableState* durable_ = &own_durable_;
 };
 
 }  // namespace ziziphus::pbft

@@ -58,10 +58,7 @@ Duration FastPathAbandonTimeout(const PbftConfig& config, Duration ewma_us,
                                 NodeId replica, SeqNum seq) {
   const Duration floor = std::max<Duration>(config.batch_timeout_us, 1);
   const Duration cap = std::max(config.request_timeout_us, floor);
-  const Duration cold = config.fast_abandon_cold_us != 0
-                            ? config.fast_abandon_cold_us
-                            : config.request_timeout_us / 2;
-  Duration base = ewma_us == 0 ? cold : ewma_us * 4;
+  Duration base = ewma_us == 0 ? kFastAbandonColdUs : ewma_us * 4;
   base = std::clamp(base, floor, cap);
   return Jittered(base, 0xfa57, replica, seq);
 }

@@ -62,12 +62,16 @@ class CommitLatencyEwma {
 Duration AdaptiveProgressTimeout(const PbftConfig& config, Duration ewma_us,
                                  NodeId replica, ViewId view);
 
+/// Fast-path abandon wait before the commit-latency EWMA has a sample. The
+/// unanimity wait is one intra-zone round, so it is scaled to the message
+/// round-trip regime, not the (possibly geo-scale) request_timeout_us.
+inline constexpr Duration kFastAbandonColdUs = Millis(25);
+
 /// Fast-path abandon timeout: how long a replica waits for unanimity before
 /// falling the slot back to the classic prepare/commit path. Much tighter
 /// than the progress timeout — clamp(4 * ewma, batch_timeout,
-/// request_timeout) with per-(replica, seq) jitter; unseeded EWMA uses
-/// fast_abandon_cold_us (round-trip scale; request_timeout/2 when the knob
-/// is 0).
+/// request_timeout) with per-(replica, seq) jitter; an unseeded EWMA uses
+/// kFastAbandonColdUs.
 Duration FastPathAbandonTimeout(const PbftConfig& config, Duration ewma_us,
                                 NodeId replica, SeqNum seq);
 

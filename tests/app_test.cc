@@ -172,10 +172,14 @@ TEST(ExperimentConfigTest, FromFlagsAppliesKnownFlags) {
   char prog[] = "cli";
   char zones[] = "--zones=5";
   char seed[] = "--seed=9";
-  char* argv[] = {prog, zones, seed};
-  ExperimentConfig cfg = ExperimentConfig::FromFlags(3, argv);
+  char global[] = "--global=0.25";
+  char reads[] = "--reads=1";
+  char* argv[] = {prog, zones, seed, global, reads};
+  ExperimentConfig cfg = ExperimentConfig::FromFlags(5, argv);
   EXPECT_EQ(cfg.zones, 5u);
   EXPECT_EQ(cfg.workload.seed, 9u);
+  EXPECT_DOUBLE_EQ(cfg.workload.mix.global_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(cfg.workload.mix.read_fraction, 1.0);
 }
 
 TEST(ExperimentConfigDeathTest, FromFlagsRejectsUnknownFlag) {
@@ -185,6 +189,37 @@ TEST(ExperimentConfigDeathTest, FromFlagsRejectsUnknownFlag) {
   char* argv[] = {prog, measure, typo};
   EXPECT_EXIT(ExperimentConfig::FromFlags(3, argv),
               testing::ExitedWithCode(2), "unknown flag: --zone=9");
+}
+
+// A malformed numeric value must not run some other experiment: before
+// strict parsing, --zones=five ran 0 zones, --zones=3x ran 3 and
+// --global=1.5 ran "150% global", all with exit status 0.
+TEST(ExperimentConfigDeathTest, FromFlagsRejectsMalformedNumbers) {
+  const struct {
+    const char* flag;
+    const char* message;
+  } cases[] = {
+      {"--zones=five", "invalid --zones=five"},
+      {"--zones=3x", "invalid --zones=3x"},
+      {"--zones=", "invalid --zones="},
+      {"--zones=-1", "invalid --zones=-1"},
+      {"--zones=0", "invalid --zones=0"},
+      {"--seed=99999999999999999999", "invalid --seed="},
+      {"--measure-ms=1.5", "invalid --measure-ms=1.5"},
+      {"--global=1.5", "invalid --global=1.5"},
+      {"--global=-0.1", "invalid --global=-0.1"},
+      {"--global=", "invalid --global="},
+      {"--reads=0.9x", "invalid --reads=0.9x"},
+      {"--cross=nan", "invalid --cross=nan"},
+  };
+  for (const auto& c : cases) {
+    char prog[] = "cli";
+    std::string flag = c.flag;
+    char* argv[] = {prog, flag.data()};
+    EXPECT_EXIT(ExperimentConfig::FromFlags(2, argv),
+                testing::ExitedWithCode(2), c.message)
+        << c.flag;
+  }
 }
 
 }  // namespace
