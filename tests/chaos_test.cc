@@ -374,6 +374,11 @@ TEST(ChaosTest, FaultTimelineActuallyInjectsFaults) {
   EXPECT_GE(suppressed, 1u);
 }
 
+// seed -> {fingerprint, obs_json digest}; see testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kTwoLevelChaosGoldens = {
+    {9, {0xabe44bdc83af9ea9ULL, 0xaa9806b2ae800a63ULL}},
+};
+
 TEST(ChaosTest, TwoLevelBaselineSurvivesCrashChaos) {
   ChaosOptions opt;
   opt.seed = 9;
@@ -381,9 +386,12 @@ TEST(ChaosTest, TwoLevelBaselineSurvivesCrashChaos) {
   EXPECT_TRUE(r.violations.empty()) << r.Summary();
   EXPECT_TRUE(r.all_done) << r.Summary();
   EXPECT_TRUE(r.byzantine_roster.empty());
+  EXPECT_TRUE(testutil::MatchesGolden(kTwoLevelChaosGoldens, opt.seed,
+                                      r.fingerprint, r.obs_json));
 
   ChaosReport r2 = app::RunTwoLevelChaos(opt);
   EXPECT_EQ(r.fingerprint, r2.fingerprint);
+  EXPECT_EQ(r.obs_json, r2.obs_json);
 }
 
 // --------------------------------------------- over-budget misconfiguration

@@ -400,6 +400,57 @@ class ConsensusChaosSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, Ordering>> {
 };
 
+// Per ordering, seed -> {fingerprint, obs_json digest}; see
+// testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kChaosRotatingGoldens = {
+    {1, {0x51ac7d82123edd10ULL, 0x66f78135bf20bc0fULL}},
+    {2, {0x4fba7c4700b3ea40ULL, 0x1e2ecb873de9b21dULL}},
+    {3, {0xea0d797fea2af765ULL, 0xe4133406ba001413ULL}},
+    {4, {0x229c0e5d33d0991dULL, 0xd67f1f54cb69bdd6ULL}},
+    {5, {0x6cc1dafd8f370c15ULL, 0xb708aa0212f6d8c7ULL}},
+    {6, {0x7f95c6b7477a3862ULL, 0x4a479ef3f2974b4cULL}},
+    {7, {0x684e0af4fd373134ULL, 0x7c80a066351419ffULL}},
+    {8, {0x94bd57475b971a88ULL, 0xa39aa04c0a3af5d6ULL}},
+    {9, {0xd458c4a5911eaf10ULL, 0x60cf1b059a0595c4ULL}},
+    {10, {0x90cf0e0e84355112ULL, 0x00a2528598d17ac5ULL}},
+    {11, {0x1e0b8057d6ffcde0ULL, 0x0f23d786e242ea06ULL}},
+    {12, {0xa28779696c2c733cULL, 0x29ea89f7b47c3947ULL}},
+    {13, {0x9937d17aa437a295ULL, 0xb6cb24581e04c0bcULL}},
+    {14, {0xfba0e740996bc47aULL, 0x5e7598cdd7d24f39ULL}},
+    {15, {0x602d73ab0375c77cULL, 0x6f0f4ff4c4d8e9dcULL}},
+    {16, {0x8d04ff846077a37cULL, 0xe400cc6a83063c2dULL}},
+    {17, {0xa41e4778fde4b532ULL, 0xd5026755dac87606ULL}},
+    {18, {0x40c65d1581211ac9ULL, 0xad70432da3d7682aULL}},
+    {19, {0xe2b4846924976e6fULL, 0xa633584c20e18ebaULL}},
+    {20, {0x261c74ae19a3a25aULL, 0x0a3cc5453e1f8be3ULL}},
+    {21, {0x809552a88f0e51ebULL, 0x6a1a0d20643a218fULL}},
+    {22, {0x0c750252b3d41f0dULL, 0xeaf08c94d8d175d3ULL}},
+};
+const std::map<std::uint64_t, testutil::RunGolden> kChaosFastPathGoldens = {
+    {1, {0x89895de186fb6ca1ULL, 0xb844798ac6474e8bULL}},
+    {2, {0xde9c04dea343980aULL, 0xef0b5f19e2b28b1eULL}},
+    {3, {0xa663052c26066055ULL, 0x2064f37b5a65624bULL}},
+    {4, {0xc359e071dc9348a1ULL, 0x70eb2b4d5edb02aaULL}},
+    {5, {0x53107e98e7489525ULL, 0xc20cf480489374edULL}},
+    {6, {0x6564b381cb68e53bULL, 0xf656e8c9f9e1b695ULL}},
+    {7, {0xead634c61a2ece14ULL, 0x38e52fb3c82d312aULL}},
+    {8, {0x55fd4e90128dd4d5ULL, 0x7b61acae64696bcaULL}},
+    {9, {0xe2a8351d4d6d6b11ULL, 0x0889f0a9e1d20217ULL}},
+    {10, {0x25b454ae6c757200ULL, 0x7a8af28b8a8c49f3ULL}},
+    {11, {0x0ce47cf1b43861f5ULL, 0x6fcb0da7c5d30416ULL}},
+    {12, {0x87174050ff74c64bULL, 0x90d27bbb407e7b8fULL}},
+    {13, {0x3911a90585e8d20dULL, 0x9e02b6c0a7af11fcULL}},
+    {14, {0x48218b6710ea0ac9ULL, 0x659322c040ba13f3ULL}},
+    {15, {0x667abe721dc1bf05ULL, 0x9005b35ad622b8d8ULL}},
+    {16, {0xb5f13157deb4465cULL, 0x2a70b58f8446db22ULL}},
+    {17, {0x5dbbd6336d51550bULL, 0x406d676e7e4eea2fULL}},
+    {18, {0xf60d5c92d35f37d2ULL, 0x565782f0f12898acULL}},
+    {19, {0x9ca4cf4e41e0b722ULL, 0xdd90b9e75dcff009ULL}},
+    {20, {0x8adda0891ae9a75eULL, 0x0ef94d1e88725b89ULL}},
+    {21, {0x43acea2c5b761c1fULL, 0x43a1e7abb490d114ULL}},
+    {22, {0xd1f735dccda85a0dULL, 0x463f212408db120eULL}},
+};
+
 TEST_P(ConsensusChaosSweep, HoldsInvariantsByteIdenticalOnBothQueues) {
   ChaosOptions opt;
   opt.seed = std::get<0>(GetParam());
@@ -413,6 +464,11 @@ TEST_P(ConsensusChaosSweep, HoldsInvariantsByteIdenticalOnBothQueues) {
   EXPECT_EQ(cal.fingerprint, heap.fingerprint);
   EXPECT_EQ(cal.counters, heap.counters);
   EXPECT_EQ(cal.obs_json, heap.obs_json);
+  EXPECT_TRUE(testutil::MatchesGolden(opt.ordering == Ordering::kRotating
+                                          ? kChaosRotatingGoldens
+                                          : kChaosFastPathGoldens,
+                                      opt.seed, cal.fingerprint,
+                                      cal.obs_json));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -503,6 +559,19 @@ class ConsensusReadsSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, Ordering>> {
 };
 
+// Per ordering, seed -> {fingerprint, obs_json digest}; see
+// testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kReadsRotatingGoldens = {
+    {3, {0x9510e8950d9db271ULL, 0x168080a7531a659cULL}},
+    {7, {0xcc756749c6ebe9d3ULL, 0xb8874ca8409c59c1ULL}},
+    {11, {0x59f7dc7071930893ULL, 0xee7c4d88a1d98e76ULL}},
+};
+const std::map<std::uint64_t, testutil::RunGolden> kReadsFastPathGoldens = {
+    {3, {0x1d7ee8ba3c237f36ULL, 0xd1472c1f5822e3c7ULL}},
+    {7, {0xb16ae5261a73f618ULL, 0x3ff2d37e2b8bd3b4ULL}},
+    {11, {0x92a249bdd5ba6012ULL, 0xcc6b452dca61d75aULL}},
+};
+
 TEST_P(ConsensusReadsSweep, VerifiedReadsStayGreenOnBothQueues) {
   ChaosOptions opt;
   opt.seed = std::get<0>(GetParam());
@@ -516,6 +585,11 @@ TEST_P(ConsensusReadsSweep, VerifiedReadsStayGreenOnBothQueues) {
   ChaosReport heap = app::RunZiziphusChaos(opt);
   EXPECT_EQ(cal.fingerprint, heap.fingerprint);
   EXPECT_EQ(cal.obs_json, heap.obs_json);
+  EXPECT_TRUE(testutil::MatchesGolden(opt.ordering == Ordering::kRotating
+                                          ? kReadsRotatingGoldens
+                                          : kReadsFastPathGoldens,
+                                      opt.seed, cal.fingerprint,
+                                      cal.obs_json));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -525,6 +599,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          Ordering::kFastPath)));
 
 // ------------------------------------------------- adversarial options
+
+// seed -> {fingerprint, obs_json digest}; see testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kForgeReadsGoldens = {
+    {2, {0x070e451feb36dd5cULL, 0x9a6e84479c2eee20ULL}},
+    {6, {0x2142d091a00fb046ULL, 0xbcf81a8625a6ccc5ULL}},
+    {10, {0x4ca6a9e972bb1036ULL, 0x623474a224ea7a3fULL}},
+};
 
 TEST(ConsensusChaosTest, ForgedReadRepliesFoldIntoTheRosterSafely) {
   // byz_forge_reads flips an appended-stream coin per rostered replica, so
@@ -538,6 +619,8 @@ TEST(ConsensusChaosTest, ForgedReadRepliesFoldIntoTheRosterSafely) {
     opt.byz_forge_reads = true;
     ChaosReport r = app::RunZiziphusChaos(opt);
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.Summary();
+    EXPECT_TRUE(testutil::MatchesGolden(kForgeReadsGoldens, seed,
+                                        r.fingerprint, r.obs_json));
     for (const std::string& entry : r.byzantine_roster) {
       if (entry.find("forging-read-responder") != std::string::npos) {
         ++forgers;
@@ -546,6 +629,11 @@ TEST(ConsensusChaosTest, ForgedReadRepliesFoldIntoTheRosterSafely) {
   }
   EXPECT_GE(forgers, 1u);
 }
+
+// seed -> {fingerprint, obs_json digest}; see testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kLatencyFlapsGoldens = {
+    {14, {0x4b03863d01720a0eULL, 0xbb515f7d2097e63cULL}},
+};
 
 TEST(ConsensusChaosTest, LatencyFlapsDoNotWedgeAdaptiveTimeouts) {
   // Flapping link latency is the pathological input for EWMA-driven
@@ -558,6 +646,8 @@ TEST(ConsensusChaosTest, LatencyFlapsDoNotWedgeAdaptiveTimeouts) {
   ChaosReport cal = app::RunZiziphusChaos(opt);
   EXPECT_TRUE(cal.violations.empty()) << cal.Summary();
   EXPECT_TRUE(cal.all_done) << cal.Summary();
+  EXPECT_TRUE(testutil::MatchesGolden(kLatencyFlapsGoldens, opt.seed,
+                                      cal.fingerprint, cal.obs_json));
 
   opt.queue = sim::EventQueueKind::kBinaryHeap;
   ChaosReport heap = app::RunZiziphusChaos(opt);

@@ -649,6 +649,12 @@ TEST(ReadMixTest, ReadsInterleaveWithMigrations) {
 
 // ------------------------------------------------------------- chaos
 
+// seed -> {fingerprint, obs_json digest}; see testutil::RunGolden.
+const std::map<std::uint64_t, testutil::RunGolden> kReadChaosGoldens = {
+    {3, {0x2b289e1412bd0c8eULL, 0x45e2c383aecb8be8ULL}},
+    {11, {0x1956f427164d467bULL, 0x0afd801615e86706ULL}},
+};
+
 TEST(ReadChaosTest, SweepGreenAndByteIdenticalOnBothQueues) {
   std::uint64_t total_ok = 0;
   for (std::uint64_t seed : {3u, 11u}) {
@@ -662,6 +668,9 @@ TEST(ReadChaosTest, SweepGreenAndByteIdenticalOnBothQueues) {
     EXPECT_GT(calendar.reads_ok + calendar.reads_abandoned, 0u)
         << "seed " << seed << " issued no reads";
     total_ok += calendar.reads_ok;
+    EXPECT_TRUE(testutil::MatchesGolden(kReadChaosGoldens, seed,
+                                        calendar.fingerprint,
+                                        calendar.obs_json));
 
     opt.queue = sim::EventQueueKind::kBinaryHeap;
     app::ChaosReport heap = app::RunZiziphusChaos(opt);
