@@ -168,4 +168,9 @@ std::int64_t BankStateMachine::TotalBalance() const {
   return total;
 }
 
+storage::KvStore::Map SeedBalance(ClientId client) {
+  return {{BankStateMachine::AccountKey(client),
+           std::to_string(kInitialBalance)}};
+}
+
 }  // namespace ziziphus::app

@@ -71,6 +71,12 @@ class BankStateMachine : public core::ZoneStateMachine {
   storage::KvStore store_;
 };
 
+/// Opening balance of every workload client's account.
+inline constexpr std::int64_t kInitialBalance = 1000;
+
+/// Bootstrap records of a workload client: its account at kInitialBalance.
+storage::KvStore::Map SeedBalance(ClientId client);
+
 }  // namespace ziziphus::app
 
 #endif  // ZIZIPHUS_APP_BANK_H_

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "app/scripted_client.h"
 #include "app/workload.h"
 #include "common/types.h"
 #include "pbft/config.h"
@@ -54,10 +55,9 @@ struct ChaosOptions {
   /// every pre-existing seed byte-identical.
   pbft::Ordering ordering = pbft::Ordering::kStable;
 
-  /// Byzantine replicas per zone. Clamped to f unless allow_over_budget —
-  /// the misconfiguration demo sets f+1 liars to break safety on purpose.
+  /// Byzantine replicas per zone, clamped to f (the f+1-liar
+  /// misconfiguration demo builds its own cluster).
   std::size_t byzantine_per_zone = 1;
-  bool allow_over_budget = false;
 
   /// Folds the forging read responder into the Byzantine roster: each
   /// rostered replica flips a coin from an *appended* rng stream and, on
@@ -85,39 +85,16 @@ struct ChaosOptions {
   /// at fault_window; the run then drains and waits for client completion.
   Duration fault_window = Seconds(10);
   Duration drain = Seconds(15);
-  /// Extra budget (in 1s probes) for slow seeds to finish all client ops.
-  Duration completion_wait = Seconds(90);
 };
 
-struct ChaosReport {
-  std::vector<sim::InvariantViolation> violations;
+/// Common fields (reads only with mix.read_fraction > 0) plus the chaos
+/// specifics.
+struct ChaosReport : ScriptedRunReport {
   /// "node 5: mute-primary" per adversarial replica.
   std::vector<std::string> byzantine_roster;
-  std::uint64_t local_completed = 0;
-  std::uint64_t global_completed = 0;
   std::uint64_t local_expected = 0;
   std::uint64_t global_expected = 0;
-  /// Fast-path reads (mix.read_fraction > 0 only): verified accepts,
-  /// replies rejected by certificate/inclusion/session checks, and reads
-  /// abandoned after trying every zone replica without an acceptable
-  /// answer. Abandonment is legal (reads are best-effort under faults);
-  /// accepting a bad reply is not — that is what read-validity catches.
-  std::uint64_t reads_ok = 0;
-  std::uint64_t reads_rejected = 0;
-  std::uint64_t reads_abandoned = 0;
   bool all_done = false;
-  std::uint64_t events = 0;
-  SimTime end_time = 0;
-  /// Hash over the run's full counter set: two runs of one seed must
-  /// produce identical fingerprints (determinism regression probe).
-  std::uint64_t fingerprint = 0;
-  /// Final snapshot of the simulation's counters ("faults.crashes",
-  /// "byz.equivocations_emitted", "pbft.new_views_entered", ...).
-  std::map<std::string, std::uint64_t> counters;
-  /// Full Recorder::ExportJson of the run ("ziziphus.obs.v1"). Two runs of
-  /// one seed must produce byte-identical exports on either event queue —
-  /// the recovery tests diff this directly.
-  std::string obs_json;
   /// Per zone, the application state digest of the furthest-executed honest
   /// replica at run end. Ordering strategies batch and order differently,
   /// so cross-strategy tests compare converged state through this instead

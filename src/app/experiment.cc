@@ -117,10 +117,6 @@ std::string ExperimentResult::ToString() const {
 
 namespace {
 
-storage::KvStore::Map SeedBalance(ClientId client) {
-  return {{BankStateMachine::AccountKey(client), "1000"}};
-}
-
 /// Simulation::Register hands out sequential ids, so given the id the next
 /// registration will get, the whole client id layout is known up front.
 std::vector<std::vector<ClientId>> PredictClientIds(std::size_t next_id,

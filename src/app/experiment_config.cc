@@ -19,15 +19,6 @@ DeploymentSpec ExperimentConfig::Deployment() const {
                       : PaperDeployment(zones, f);
 }
 
-ChaosOptions ExperimentConfig::ChaosFor() const {
-  ChaosOptions c = chaos;
-  c.seed = workload.seed;
-  c.zones = zones;
-  c.f = f;
-  c.queue = workload.queue;
-  return c;
-}
-
 std::string ExperimentConfig::ToString() const {
   std::ostringstream os;
   os << ProtocolName(protocol) << " zones=" << zones;
@@ -176,8 +167,6 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
     obs.sample_every = ToU64("sample-every", v);
   } else if (FlagValue(arg, "json-out", &v)) {
     obs.json_out = v;
-  } else if (FlagValue(arg, "byzantine", &v)) {
-    chaos.byzantine_per_zone = ToU64("byzantine", v);
   } else if (FlagValue(arg, "think-ms", &v)) {
     chaos.client_think = Millis(ToU64("think-ms", v));
   } else if (FlagValue(arg, "fault-window-ms", &v)) {

@@ -26,9 +26,10 @@ namespace ziziphus::app {
 ///                            .Run();
 ///
 /// or from the command line: FromFlags(argc, argv) understands the
-/// `--key=value` vocabulary below and ignores flags it does not know
-/// (google-benchmark's `--benchmark_*`, binary-specific extras), so every
-/// binary can share one flag language.
+/// `--key=value` vocabulary below and exits 2 on any flag it does not know,
+/// so every binary shares one flag language. Bench binaries use
+/// ConsumeFlags, which leaves unknown flags to google-benchmark's own
+/// parser (itself strict).
 struct ExperimentConfig {
   Protocol protocol = Protocol::kZiziphus;
   std::size_t zones = 3;     // zones (per cluster when clusters > 1)
@@ -132,10 +133,6 @@ struct ExperimentConfig {
   /// The deployment implied by zones / clusters / f.
   DeploymentSpec Deployment() const;
 
-  /// Chaos options with the shared knobs (seed, zones, f) applied on top
-  /// of the chaos-specific ones.
-  ChaosOptions ChaosFor() const;
-
   /// One-line human-readable description of the cell.
   std::string ToString() const;
 
@@ -152,10 +149,11 @@ struct ExperimentConfig {
   /// --clients= --global= --cross= --reads= --verified-reads=0|1 --causal
   /// --warmup-ms= --measure-ms= --seed= --queue=calendar|heap --faults=
   /// --no-stable-leader --trace[=0|1] --sample-every= --json-out=
-  /// --byzantine= --think-ms= --fault-window-ms= --crash-amnesia=N
-  /// (amnesia crash/recover pairs in the chaos timeline)
+  /// --think-ms= --fault-window-ms= --crash-amnesia=N (amnesia
+  /// crash/recover pairs in the chaos timeline)
   /// --ordering=stable|rotating|fast-path --byz-forge-reads[=0|1]
-  /// --latency-flaps=N. An unknown flag exits with status 2 and names it;
+  /// --latency-flaps=N. An unknown flag (including --byzantine=, whose
+  /// value bench_chaos sets per cell) exits with status 2 and names it;
   /// binaries with extra flags of their own use ConsumeFlags.
   static ExperimentConfig FromFlags(int argc, char** argv);
 

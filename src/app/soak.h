@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "app/scripted_client.h"
 #include "app/workload.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
@@ -28,12 +29,9 @@ struct SoakOptions {
   /// amnesia crash/recover pairs.
   sim::SoakScheduleConfig schedule;
 
-  /// Same-zone XFER pairs per zone, running until the horizon.
+  /// Same-zone XFER pairs per zone, running until the horizon beside one
+  /// PUT writer per zone.
   std::size_t pairs_per_zone = 2;
-  /// PUT writers per zone cycling over `writer_record_window` records, so
-  /// application state stabilizes while the op stream keeps flowing.
-  std::size_t writers_per_zone = 1;
-  std::size_t writer_record_window = 64;
   /// Zone-hopping migrators; each is bootstrapped with
   /// `migrator_records` data records so migrations carry real state
   /// (exercising the chunked path when it exceeds chunk_records).
@@ -64,9 +62,8 @@ struct SoakOptions {
 
   /// Footprint sampling cadence (one fleet-wide sample per period).
   Duration sample_period = Seconds(1);
-  /// Post-horizon drain + completion budget.
+  /// Post-horizon drain before the clients must quiesce.
   Duration drain = Seconds(15);
-  Duration completion_wait = Seconds(60);
 };
 
 /// One fleet-wide memory sample (sums across every replica).
@@ -83,18 +80,11 @@ struct SoakMemSample {
   std::uint64_t sync_requests = 0;
 };
 
-struct SoakReport {
-  std::vector<sim::InvariantViolation> violations;
-  std::uint64_t local_completed = 0;
-  std::uint64_t global_completed = 0;
-  /// Fast-path read outcomes (mix.read_fraction > 0 only).
-  std::uint64_t reads_ok = 0;
-  std::uint64_t reads_rejected = 0;
-  std::uint64_t reads_abandoned = 0;
+/// Common fields (reads only with mix.read_fraction > 0) plus the memory
+/// curve.
+struct SoakReport : ScriptedRunReport {
   /// All clients quiesced (no in-flight op) by the deadline.
   bool drained = false;
-  std::uint64_t events = 0;
-  SimTime end_time = 0;
 
   std::vector<SoakMemSample> samples;
   std::uint64_t high_water_live_bytes = 0;
@@ -103,10 +93,6 @@ struct SoakReport {
   /// max(live_bytes) over the first half: ~1 when the curve plateaus,
   /// substantially above 1 when retention grows without bound.
   double PlateauRatio() const;
-
-  std::uint64_t fingerprint = 0;
-  std::map<std::string, std::uint64_t> counters;
-  std::string obs_json;
 
   bool ok() const { return violations.empty() && drained; }
   std::string Summary() const;
